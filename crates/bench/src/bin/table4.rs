@@ -16,7 +16,7 @@
 //!   period (decision-equivalent; `portfolio` races CP against the ILP);
 //! * `--cold` — disable the (default) warm-started `T`-sweep: no basis,
 //!   hint, or no-good carry-over from period `T` into `T+1`
-//!   (decision-equivalent; the A/B reference for `bench_incr`).
+//!   (decision-equivalent; the cold reference for timing warm reuse).
 
 use std::process::ExitCode;
 use std::time::Duration;

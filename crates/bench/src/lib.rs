@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ab;
 pub mod gantt;
 pub mod suite_run;
 pub mod tables;

@@ -35,8 +35,7 @@ use swp_automata::HazardAutomaton;
 use swp_cpsat::{CpError, CpOptions, CpOutcome};
 use swp_ddg::{Ddg, OpClass};
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
-use swp_machine::Machine;
-use swp_machine::{DataLayout, PipelinedSchedule, ValidationError};
+use swp_machine::{DataLayout, Machine, PipelinedSchedule, ValidationError};
 use swp_milp::{Budget, Exhaustion, NodePruner, SolveError, SolveLimits};
 
 /// Tick allowance for the best-effort heuristic pass that runs after the
@@ -158,11 +157,9 @@ pub struct SchedulerConfig {
     /// the pre-warm-start behaviour, byte for byte.
     pub warm_sweep: bool,
     /// Cell layout of the reservation-table hot paths — the IMS modulo
-    /// reservation table and the independent collision checker (default:
-    /// [`DataLayout::Flat`], word-parallel bitsets). Decisions are
-    /// bit-identical across layouts; only probe cost changes. Select
-    /// [`DataLayout::Legacy`] for the seed's per-cell scan, e.g. for A/B
-    /// timing.
+    /// reservation table and the independent collision checker.
+    /// [`DataLayout::Flat`] is its only value; the field is kept because
+    /// the benchmark under `schedbench/` checks it.
     pub data_layout: DataLayout,
     /// Register-pressure cap (default: none). When set, every engine —
     /// ILP rows, CP propagation, the IMS incumbent probe — bounds the
@@ -622,7 +619,6 @@ impl RateOptimalScheduler {
     fn ims(&self) -> IterativeModuloScheduler {
         IterativeModuloScheduler::new(self.machine.clone())
             .with_automaton(self.use_automaton())
-            .with_layout(self.config.data_layout)
             .with_max_live(self.config.max_live)
     }
 
@@ -893,13 +889,11 @@ impl RateOptimalScheduler {
             });
         }
         // Checker fast path: automaton verdicts with exact-scan fallback
-        // on any query it cannot answer; otherwise the configured cell
-        // layout decides between word-parallel and per-cell scans.
-        schedule.validate_layout(
+        // on any query it cannot answer; otherwise the word-parallel scan.
+        schedule.validate_with(
             ddg,
             &self.machine,
             oracle.map(|o| o as &dyn swp_machine::ConflictOracle),
-            self.config.data_layout,
         )?;
         if let Some(limit) = self.config.max_live {
             schedule.validate_pressure(ddg, limit)?;
@@ -1129,14 +1123,6 @@ impl RateOptimalScheduler {
         let mut limits = SolveLimits {
             time_limit: self.config.time_limit_per_t,
             budget: period_budget.clone(),
-            // Both pivot layouts take identical pivot sequences (see
-            // swp-milp's simplex docs), so this keeps the whole solve
-            // decision-identical across `data_layout` while moving the
-            // LP inner loop onto the matching layout.
-            pivot_layout: match self.config.data_layout {
-                DataLayout::Legacy => swp_milp::PivotLayout::Dense,
-                DataLayout::Flat => swp_milp::PivotLayout::SparseRow,
-            },
             ..SolveLimits::default()
         };
         if self.config.objective == Objective::Feasible {

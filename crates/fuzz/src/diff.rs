@@ -56,7 +56,7 @@ use swp_ddg::{Ddg, OpClass};
 use swp_harness::ConflictOracleMode;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
 use swp_machine::{
-    simulate, BundleSpec, DataLayout, FuType, Machine, PipelinedSchedule, SlotGroup, UnitPolicy,
+    simulate, BundleSpec, FuType, Machine, PipelinedSchedule, SlotGroup, UnitPolicy,
 };
 use swp_milp::Budget;
 
@@ -101,10 +101,6 @@ pub enum ViolationKind {
     /// decision (achieved period, optimality claim, or schedule
     /// acceptance) at some step of an edit script.
     IncrementalDiverged,
-    /// The legacy and flat data layouts made different decisions — a
-    /// breach of the documented bit-identity contract (same schedules,
-    /// same attempt logs, same node/pivot counts).
-    LayoutDiverged,
 }
 
 impl ViolationKind {
@@ -126,7 +122,6 @@ impl ViolationKind {
             ViolationKind::MetamorphicScaling => "metamorphic-scaling",
             ViolationKind::MetamorphicTPlusOne => "metamorphic-t-plus-1",
             ViolationKind::IncrementalDiverged => "incremental-diverged",
-            ViolationKind::LayoutDiverged => "layout-diverged",
         }
     }
 
@@ -149,7 +144,6 @@ impl ViolationKind {
             MetamorphicScaling,
             MetamorphicTPlusOne,
             IncrementalDiverged,
-            LayoutDiverged,
         ] {
             if k.as_str() == s {
                 return Some(k);
@@ -250,85 +244,39 @@ impl CaseReport {
     }
 }
 
-/// The driver matrix:
-/// `(name, heuristic_incumbent, oracle, engine, layout)`. Index 0 is
-/// the *baseline* every cross-check and metamorphic relation compares
-/// against (and the only slot faults are injected into). The CP and
-/// portfolio rows run without the IMS incumbent so the exact engines —
-/// not a heuristic certificate — settle every period. The two
-/// `…/legacy` rows re-run their flat twin under [`DataLayout::Legacy`]
-/// and must be *decision-identical* to it (schedule, attempt log, node
-/// and pivot counts) — see [`ViolationKind::LayoutDiverged`].
-const SCHEDULER_CONFIGS: [(&str, bool, ConflictOracleMode, Engine, DataLayout); 10] = [
-    (
-        "ilp+ims/scan",
-        true,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
+/// The driver matrix: `(name, heuristic_incumbent, oracle, engine)`.
+/// Index 0 is the *baseline* every cross-check and metamorphic relation
+/// compares against (and the only slot faults are injected into). The
+/// CP and portfolio rows run without the IMS incumbent so the exact
+/// engines — not a heuristic certificate — settle every period.
+const SCHEDULER_CONFIGS: [(&str, bool, ConflictOracleMode, Engine); 8] = [
+    ("ilp+ims/scan", true, ConflictOracleMode::Scan, Engine::Ilp),
     (
         "ilp+ims/auto",
         true,
         ConflictOracleMode::Automaton,
         Engine::Ilp,
-        DataLayout::Flat,
     ),
-    (
-        "ilp+ims/scan/legacy",
-        true,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Legacy,
-    ),
-    (
-        "ilp/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
+    ("ilp/scan", false, ConflictOracleMode::Scan, Engine::Ilp),
     (
         "ilp/auto",
         false,
         ConflictOracleMode::Automaton,
         Engine::Ilp,
-        DataLayout::Flat,
     ),
-    (
-        "ilp/scan/legacy",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Legacy,
-    ),
-    (
-        "cp/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Cp,
-        DataLayout::Flat,
-    ),
-    (
-        "cp/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Cp,
-        DataLayout::Flat,
-    ),
+    ("cp/scan", false, ConflictOracleMode::Scan, Engine::Cp),
+    ("cp/auto", false, ConflictOracleMode::Automaton, Engine::Cp),
     (
         "race/scan",
         false,
         ConflictOracleMode::Scan,
         Engine::Portfolio,
-        DataLayout::Flat,
     ),
     (
         "race/auto",
         false,
         ConflictOracleMode::Automaton,
         Engine::Portfolio,
-        DataLayout::Flat,
     ),
 ];
 
@@ -336,7 +284,6 @@ fn scheduler_config(
     heuristic_incumbent: bool,
     oracle: ConflictOracleMode,
     engine: Engine,
-    layout: DataLayout,
     faults: FaultPlan,
     max_live: Option<u32>,
 ) -> SchedulerConfig {
@@ -348,7 +295,6 @@ fn scheduler_config(
         heuristic_incumbent,
         conflict_oracle: oracle,
         engine,
-        data_layout: layout,
         faults,
         max_live,
         ..SchedulerConfig::default()
@@ -493,7 +439,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     // Stage 1: the driver configurations (engine × oracle matrix).
     let mut driver_outcomes: Vec<(usize, DriverOutcome)> = Vec::new();
     let mut outcomes: Vec<ConfigOutcome> = Vec::new();
-    for (i, (name, incumbent, oracle, engine, layout)) in SCHEDULER_CONFIGS.iter().enumerate() {
+    for (i, (name, incumbent, oracle, engine)) in SCHEDULER_CONFIGS.iter().enumerate() {
         // The baseline (index 0) always runs: every cross-check and
         // metamorphic relation is anchored to it.
         if i != 0 && opts.engine_filter.is_some_and(|f| f != *engine) {
@@ -506,7 +452,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         };
         let outcome = run_driver(
             case,
-            scheduler_config(*incumbent, *oracle, *engine, *layout, faults, case.max_live),
+            scheduler_config(*incumbent, *oracle, *engine, faults, case.max_live),
             opts.ticks_per_config,
         );
         let (period, proven, timed_out) = match &outcome {
@@ -528,33 +474,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
             summary: summarize(&outcome, matches!(engine, Engine::Portfolio)),
         });
         driver_outcomes.push((i, outcome));
-    }
-
-    // Property 8: the legacy-layout rows are decision-identical to
-    // their flat twins — schedule, optimality, and the full attempt log
-    // (periods, verdicts, node and pivot counts). Skipped under fault
-    // injection, where the faulted baseline differs by construction.
-    if !faulted {
-        for (i, outcome) in &driver_outcomes {
-            let name = SCHEDULER_CONFIGS[*i].0;
-            let Some(twin_name) = name.strip_suffix("/legacy") else {
-                continue;
-            };
-            let Some((_, twin)) = driver_outcomes
-                .iter()
-                .find(|(j, _)| SCHEDULER_CONFIGS[*j].0 == twin_name)
-            else {
-                continue;
-            };
-            let (legacy_sig, flat_sig) = (layout_signature(outcome), layout_signature(twin));
-            if legacy_sig != flat_sig {
-                violations.push(Violation {
-                    kind: ViolationKind::LayoutDiverged,
-                    config: name.to_string(),
-                    details: format!("legacy {legacy_sig} != flat {flat_sig}"),
-                });
-            }
-        }
     }
 
     // Property 1: accepted schedules verify. Property 5a: bounds hold.
@@ -803,42 +722,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     }
 }
 
-/// Exhaustive decision signature of a driver outcome, for the layout
-/// bit-identity property: schedule placements, optimality claim, and
-/// the per-period attempt log down to branch-and-bound node and simplex
-/// pivot counts (everything except wall-clock). Tick budgets make both
-/// runs deterministic, so any difference is a real divergence.
-fn layout_signature(outcome: &DriverOutcome) -> String {
-    let fmt_attempts = |attempts: &[PeriodAttempt]| -> String {
-        attempts
-            .iter()
-            .map(|a| {
-                format!(
-                    "[T={} {:?} nodes={} pivots={} vars={} constrs={}]",
-                    a.period, a.outcome, a.nodes, a.lp_iterations, a.num_vars, a.num_constrs
-                )
-            })
-            .collect()
-    };
-    match outcome {
-        DriverOutcome::Ok(r) => format!(
-            "T={} opt={:?} times={:?} units={:?} {}",
-            r.schedule.initiation_interval(),
-            r.optimality,
-            r.schedule.start_times(),
-            r.schedule.assignment(),
-            fmt_attempts(&r.attempts)
-        ),
-        DriverOutcome::Failed(ScheduleError::NotFound {
-            t_lb,
-            t_max,
-            attempts,
-            ..
-        }) => format!("notfound[{t_lb}..{t_max}] {}", fmt_attempts(attempts)),
-        DriverOutcome::Failed(e) => format!("error:{e}"),
-    }
-}
-
 /// `(T, proven)` of a conclusive outcome; `None` when the run tripped a
 /// budget anywhere (in which case comparisons would be unsound).
 fn conclusive_signature(outcome: &DriverOutcome) -> Option<(Option<u32>, bool)> {
@@ -868,7 +751,6 @@ fn rerun_baseline(case: &FuzzCase, opts: &DiffOptions) -> DriverOutcome {
             true,
             ConflictOracleMode::Scan,
             Engine::Ilp,
-            DataLayout::Flat,
             FaultPlan::default(),
             case.max_live,
         ),

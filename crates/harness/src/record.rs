@@ -19,7 +19,7 @@
 
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
-use swp_core::{ConflictOracleMode, DataLayout, Engine, ReuseStats, SolvedBy};
+use swp_core::{ConflictOracleMode, Engine, ReuseStats, SolvedBy};
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
 
 /// Schema version stamped into every artifact line. v2 added the
@@ -63,11 +63,6 @@ pub struct SuiteRunConfig {
     /// cold sweep — warm facts are hints re-validated before use — but
     /// fingerprinted anyway so warm-vs-cold A/B records never mix.
     pub warm: bool,
-    /// Reservation-table cell layout for the IMS MRT and the collision
-    /// checker (`SchedulerConfig::data_layout`). Decision-identical
-    /// across layouts but fingerprinted, like the oracle and engine, so
-    /// layout A/B records never mix.
-    pub layout: DataLayout,
     /// Register-pressure cap (`SchedulerConfig::max_live`). Changes
     /// which periods are feasible, so it is part of the fingerprint:
     /// capped and uncapped sweeps never share cached records.
@@ -85,7 +80,6 @@ impl Default for SuiteRunConfig {
             conflict_oracle: ConflictOracleMode::default(),
             engine: Engine::default(),
             warm: true,
-            layout: DataLayout::default(),
             max_live: None,
         }
     }
@@ -115,10 +109,6 @@ impl SuiteRunConfig {
             Engine::Portfolio => 2,
         });
         h.write_u64(u64::from(self.warm));
-        h.write_u64(match self.layout {
-            DataLayout::Legacy => 0,
-            DataLayout::Flat => 1,
-        });
         h.write_u64(self.max_live.map_or(u64::MAX, u64::from));
         h.finish()
     }
@@ -538,10 +528,6 @@ mod tests {
             },
             SuiteRunConfig {
                 warm: false,
-                ..base.clone()
-            },
-            SuiteRunConfig {
-                layout: DataLayout::Legacy,
                 ..base.clone()
             },
             SuiteRunConfig {

@@ -231,7 +231,6 @@ impl Harness {
                 conflict_oracle: self.solve.conflict_oracle,
                 engine: self.solve.engine,
                 warm_sweep: self.solve.warm,
-                data_layout: self.solve.layout,
                 max_live: self.solve.max_live,
                 ..Default::default()
             },
@@ -437,7 +436,6 @@ mod tests {
             conflict_oracle: Default::default(),
             engine: Default::default(),
             warm: true,
-            layout: Default::default(),
             max_live: None,
         }
     }

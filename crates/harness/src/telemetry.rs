@@ -39,8 +39,12 @@ pub struct RunSummary {
     /// Scheduled loops whose period equals the *counting* `T_lb` (the
     /// paper's Table 4 headline bucket).
     pub at_counting_lb: usize,
-    /// Scheduled loops proven rate-optimal under the refined bound.
-    pub proven_optimal: usize,
+    /// Loops whose record is proven rate-optimal (every smaller period
+    /// refuted), at whatever period they were scheduled.
+    pub proven: usize,
+    /// Proven loops whose period equals the refined `T_lb`: the bound
+    /// alone certifies them.
+    pub proven_at_t_lb: usize,
     /// Loops whose final schedule came from the unified ILP.
     pub by_ilp: usize,
     /// Loops whose final schedule came from the CP backend.
@@ -104,10 +108,13 @@ impl RunSummary {
                         s.at_counting_lb += 1;
                     }
                     if r.proven && r.period.is_some_and(|p| p == r.t_lb) {
-                        s.proven_optimal += 1;
+                        s.proven_at_t_lb += 1;
                     }
                 }
                 SuiteOutcome::Unscheduled => s.unscheduled += 1,
+            }
+            if r.proven {
+                s.proven += 1;
             }
             if r.cached {
                 s.cache_hits += 1;
@@ -166,12 +173,13 @@ impl RunSummary {
         );
         let _ = writeln!(
             out,
-            "engines: {} ILP, {} CP, {} heuristic | {} at counting T_lb, {} proven optimal, {} with timeouts",
+            "engines: {} ILP, {} CP, {} heuristic | {} at counting T_lb, {} proven optimal ({} at T_lb), {} with timeouts",
             self.by_ilp,
             self.by_cp,
             self.by_heuristic,
             self.at_counting_lb,
-            self.proven_optimal,
+            self.proven,
+            self.proven_at_t_lb,
             self.with_timeout
         );
         if self.races > 0 {
@@ -286,32 +294,42 @@ mod tests {
 
     #[test]
     fn summary_counts_everything() {
+        // Proven optimal one period above T_lb: counted as proven, but
+        // not as proven at T_lb.
+        let above_lb = LoopRecord {
+            period: Some(4),
+            ..rec(3, 500, false, true)
+        };
         let records = vec![
             rec(0, 50, false, true),          // <100µs, ILP
             rec(1, 5_000, true, true),        // <10ms, heuristic, cached
             rec(2, 20_000_000, false, false), // overflow bucket, unscheduled
+            above_lb,                         // <1ms, heuristic
         ];
         let s = RunSummary::from_records(&records, Duration::from_secs(2));
-        assert_eq!(s.total, 3);
-        assert_eq!(s.scheduled, 2);
+        assert_eq!(s.total, 4);
+        assert_eq!(s.scheduled, 3);
         assert_eq!(s.unscheduled, 1);
         assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.fresh_solves, 2);
+        assert_eq!(s.fresh_solves, 3);
         assert_eq!(s.by_ilp, 1);
-        assert_eq!(s.by_heuristic, 1);
+        assert_eq!(s.by_heuristic, 2);
         assert_eq!(s.at_counting_lb, 2);
-        assert_eq!(s.proven_optimal, 2);
-        assert_eq!(s.bb_nodes, 30);
-        assert_eq!(s.lp_iterations, 300);
-        assert_eq!(s.ticks, 333);
-        assert_eq!(s.reuse.ims_hint_hits, 3);
-        assert!(s.render().contains("reuse: 0 basis hits, 3 IMS hint hits"));
+        assert_eq!(s.proven, 3);
+        assert_eq!(s.proven_at_t_lb, 2);
+        assert_eq!(s.bb_nodes, 40);
+        assert_eq!(s.lp_iterations, 400);
+        assert_eq!(s.ticks, 444);
+        assert_eq!(s.reuse.ims_hint_hits, 4);
+        assert!(s.render().contains("reuse: 0 basis hits, 4 IMS hint hits"));
         assert_eq!(s.histogram[0], ("< 100 µs", 1));
+        assert_eq!(s.histogram[1], ("< 1 ms", 1));
         assert_eq!(s.histogram[2], ("< 10 ms", 1));
         assert_eq!(s.histogram[6], ("≥ 10 s", 1));
-        assert!((s.loops_per_sec() - 1.5).abs() < 1e-9);
+        assert!((s.loops_per_sec() - 2.0).abs() < 1e-9);
         let rendered = s.render();
-        assert!(rendered.contains("3 (2 scheduled, 1 unscheduled)"));
+        assert!(rendered.contains("4 (3 scheduled, 1 unscheduled)"));
+        assert!(rendered.contains("3 proven optimal (2 at T_lb)"));
         assert!(rendered.contains("histogram"));
     }
 

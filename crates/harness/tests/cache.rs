@@ -27,7 +27,6 @@ fn solve_cfg() -> SuiteRunConfig {
         conflict_oracle: Default::default(),
         engine: Default::default(),
         warm: true,
-        layout: Default::default(),
         max_live: None,
     }
 }

@@ -34,7 +34,6 @@ fn deterministic_solve() -> SuiteRunConfig {
         conflict_oracle: ConflictOracleMode::Scan,
         engine: Default::default(),
         warm: true,
-        layout: Default::default(),
         max_live: None,
     }
 }

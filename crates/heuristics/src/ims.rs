@@ -5,8 +5,7 @@ use crate::mrt::ModuloReservationTable;
 use std::error::Error;
 use std::fmt;
 use swp_ddg::{Ddg, NodeId};
-use swp_machine::PipelinedSchedule;
-use swp_machine::{DataLayout, Machine};
+use swp_machine::{Machine, PipelinedSchedule};
 use swp_milp::budget::{Budget, Exhaustion};
 
 /// Why a heuristic gave up.
@@ -104,8 +103,6 @@ pub struct IterativeModuloScheduler {
     ii_span: u32,
     /// Probe MRT slots through the memoized hazard automaton.
     use_automaton: bool,
-    /// Cell layout of the MRT and of the final self-audit.
-    layout: DataLayout,
     /// Register-pressure cap audited on every produced schedule.
     max_live: Option<u32>,
 }
@@ -119,7 +116,6 @@ impl IterativeModuloScheduler {
             budget_ratio: 6,
             ii_span: 32,
             use_automaton: false,
-            layout: DataLayout::default(),
             max_live: None,
         }
     }
@@ -144,13 +140,6 @@ impl IterativeModuloScheduler {
     /// [`HazardAutomaton`]: swp_automata::HazardAutomaton
     pub fn with_automaton(mut self, enabled: bool) -> Self {
         self.use_automaton = enabled;
-        self
-    }
-
-    /// Selects the MRT cell layout ([`DataLayout::Flat`] by default).
-    /// Schedules are bit-identical either way; only probe cost changes.
-    pub fn with_layout(mut self, layout: DataLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -193,7 +182,6 @@ impl IterativeModuloScheduler {
             Some(self.budget_ratio),
             budget,
             self.use_automaton,
-            self.layout,
             self.max_live,
         )
     }
@@ -233,7 +221,6 @@ impl IterativeModuloScheduler {
             &mut evictions,
             budget,
             self.use_automaton,
-            self.layout,
             self.max_live,
             &mut scratch,
         )
@@ -264,8 +251,7 @@ impl IterativeModuloScheduler {
         if let Some(h) = hint {
             if h.initiation_interval() == ii
                 && h.num_ops() == ddg.num_nodes()
-                && h.validate_layout(ddg, &self.machine, None, self.layout)
-                    .is_ok()
+                && h.validate(ddg, &self.machine).is_ok()
                 && self.max_live.map_or(true, |ml| h.max_live(ddg) <= ml)
             {
                 return Ok(Some(h.clone()));
@@ -282,7 +268,6 @@ pub struct ListModuloScheduler {
     machine: Machine,
     ii_span: u32,
     use_automaton: bool,
-    layout: DataLayout,
 }
 
 impl ListModuloScheduler {
@@ -292,7 +277,6 @@ impl ListModuloScheduler {
             machine,
             ii_span: 32,
             use_automaton: false,
-            layout: DataLayout::default(),
         }
     }
 
@@ -300,13 +284,6 @@ impl ListModuloScheduler {
     /// see [`IterativeModuloScheduler::with_automaton`].
     pub fn with_automaton(mut self, enabled: bool) -> Self {
         self.use_automaton = enabled;
-        self
-    }
-
-    /// Selects the MRT cell layout; see
-    /// [`IterativeModuloScheduler::with_layout`].
-    pub fn with_layout(mut self, layout: DataLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -336,7 +313,6 @@ impl ListModuloScheduler {
             None,
             budget,
             self.use_automaton,
-            self.layout,
             None,
         )
     }
@@ -387,7 +363,6 @@ struct ImsScratch {
     evict_victims: Vec<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     machine: &Machine,
     ddg: &Ddg,
@@ -395,7 +370,6 @@ fn run(
     budget_ratio: Option<u32>,
     budget: &Budget,
     use_automaton: bool,
-    layout: DataLayout,
     max_live: Option<u32>,
 ) -> Result<HeuristicResult, HeuristicError> {
     let t_dep = ddg.t_dep().ok_or(HeuristicError::NoFinitePeriod)?;
@@ -429,7 +403,6 @@ fn run(
             &mut evictions,
             budget,
             use_automaton,
-            layout,
             max_live,
             &mut scratch,
         )? {
@@ -456,7 +429,6 @@ fn try_ii(
     evictions: &mut u64,
     budget: &Budget,
     use_automaton: bool,
-    layout: DataLayout,
     max_live: Option<u32>,
     scratch: &mut ImsScratch,
 ) -> Result<Option<PipelinedSchedule>, Exhaustion> {
@@ -495,9 +467,9 @@ fn try_ii(
 
     let mut mrt = if use_automaton {
         let automaton = swp_automata::HazardAutomaton::for_machine(machine, ii);
-        ModuloReservationTable::with_automaton_layout(machine, ii, automaton, layout)
+        ModuloReservationTable::with_automaton(machine, ii, automaton)
     } else {
-        ModuloReservationTable::with_layout(machine, ii, layout)
+        ModuloReservationTable::new(machine, ii)
     };
     time.clear();
     time.resize(n, None);
@@ -620,10 +592,7 @@ fn try_ii(
     let schedule = PipelinedSchedule::new(ii, starts, assignment);
     // The eviction loop guarantees dependences w.r.t. scheduled ops, but a
     // final audit keeps the heuristic honest (and catches budget races).
-    if schedule
-        .validate_layout(ddg, machine, None, layout)
-        .is_err()
-    {
+    if schedule.validate(ddg, machine).is_err() {
         return Ok(None);
     }
     // Pressure audit: IMS places by resources and dependences only, so
@@ -792,60 +761,6 @@ mod tests {
                 .schedule(&g)
                 .expect("automaton list");
             assert_eq!(plain_list.schedule, fast_list.schedule);
-        }
-    }
-
-    #[test]
-    fn layout_choice_yields_identical_schedules() {
-        // Flat and Legacy MRT layouts must agree on every decision: same
-        // schedule, same tried list, same eviction count, for both the
-        // backtracking and the list scheduler, on all example machines.
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            let g = fp_loop();
-            let legacy = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy");
-            let flat = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat");
-            assert_eq!(legacy.schedule, flat.schedule);
-            assert_eq!(legacy.mii, flat.mii);
-            assert_eq!(legacy.tried, flat.tried);
-            assert_eq!(legacy.evictions, flat.evictions);
-
-            // A starved eviction budget forces the backtracking path so
-            // both layouts exercise forced placement, not just probing.
-            let legacy_tight = IterativeModuloScheduler::new(machine.clone())
-                .with_budget_ratio(1)
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy tight");
-            let flat_tight = IterativeModuloScheduler::new(machine.clone())
-                .with_budget_ratio(1)
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat tight");
-            assert_eq!(legacy_tight.schedule, flat_tight.schedule);
-            assert_eq!(legacy_tight.tried, flat_tight.tried);
-            assert_eq!(legacy_tight.evictions, flat_tight.evictions);
-
-            let legacy_list = ListModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy list");
-            let flat_list = ListModuloScheduler::new(machine)
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat list");
-            assert_eq!(legacy_list.schedule, flat_list.schedule);
-            assert_eq!(legacy_list.tried, flat_list.tried);
         }
     }
 

@@ -7,29 +7,23 @@
 //! cells of one concrete unit, which is exactly the fixed FU assignment
 //! the paper's ILP computes via coloring — done greedily here.
 //!
-//! Two cell layouts back the table, selected by [`DataLayout`]:
-//!
-//! * **Legacy** — the original `cells[class][fu][stage][residue]`
-//!   nested-`Vec` nest, probed cell by cell;
-//! * **Flat** (default) — one stride-indexed owner arena per class plus
-//!   per-unit u64 occupancy words: a slot probe is one AND per word
-//!   against the class's precomputed claimed-cell mask for the issue
-//!   residue, instead of a stage×offset scan.
-//!
-//! Both layouts make identical decisions — same probe answers, same
-//! eviction sets in the same order, same double-claim panics — which
-//! the equivalence tests and proptests enforce.
+//! The cells live in one stride-indexed owner arena per class plus
+//! per-unit u64 occupancy words: a slot probe is one AND per word
+//! against the class's precomputed claimed-cell mask for the issue
+//! residue, instead of a stage×offset scan. The proptests check every
+//! probe answer against the naive fixed-assignment checker.
 
 use std::sync::Arc;
 use swp_automata::{stats, HazardAutomaton, HazardFsa, StateId};
 use swp_ddg::OpClass;
-use swp_machine::{DataLayout, Machine, ReservationTable};
+use swp_machine::{Machine, ReservationTable};
 
 /// Occupancy of all units of all classes over one period.
 #[derive(Debug, Clone)]
 pub struct ModuloReservationTable {
     period: u32,
-    cells: MrtCells,
+    /// Cell arenas, one per machine class.
+    classes: Vec<ClassArena>,
     /// Optional hazard-automaton acceleration, shadowing the cells.
     fast: Option<FastState>,
     /// Issue-bundle counters, present when the machine declares bundle
@@ -54,7 +48,7 @@ struct BundleState {
     /// Issues per `(group, residue)`, flattened `g * period + r`.
     group_counts: Vec<u32>,
     /// `(op, class index)` issued at each residue, in placement order —
-    /// kept in order so eviction lists are layout-independent.
+    /// kept in order so eviction lists are deterministic.
     issued: Vec<Vec<(usize, usize)>>,
 }
 
@@ -86,28 +80,15 @@ impl BundleState {
     }
 }
 
-/// The cell store behind the MRT, one variant per [`DataLayout`].
-#[derive(Debug, Clone)]
-enum MrtCells {
-    /// `cells[class][fu][stage][residue]` = occupying op index, or `NONE`.
-    Legacy(Vec<Vec<Vec<Vec<usize>>>>),
-    Flat(FlatCells),
-}
-
-/// Flat per-class arenas: owners keyed `fu * cells_per_unit + cell`
-/// where `cell = stage * period + residue`, with per-unit occupancy
-/// words for word-parallel probes.
-#[derive(Debug, Clone)]
-struct FlatCells {
-    classes: Vec<ClassArena>,
-}
-
+/// One class's cells: owners keyed `fu * cells_per_unit + cell` where
+/// `cell = stage * period + residue`, with per-unit occupancy words for
+/// word-parallel probes.
 #[derive(Debug, Clone)]
 struct ClassArena {
     /// Per issue residue: claimed-cell mask (`cell_mask_words` words).
     masks: Vec<Vec<u64>>,
-    /// Per issue residue: claimed cells in legacy scan order
-    /// (stage-major, marked offsets ascending).
+    /// Per issue residue: claimed cells in the naive checker's scan
+    /// order (stage-major, marked offsets ascending).
     lists: Vec<Vec<usize>>,
     /// u64 words per unit occupancy run.
     words: usize,
@@ -168,47 +149,20 @@ struct UnitFast {
 const NONE: usize = usize::MAX;
 
 impl ModuloReservationTable {
-    /// An empty MRT for `machine` at the given period, in the default
-    /// (flat) layout.
+    /// An empty MRT for `machine` at the given period.
     ///
     /// # Panics
     ///
     /// Panics if `period == 0`.
     pub fn new(machine: &Machine, period: u32) -> Self {
-        Self::with_layout(machine, period, DataLayout::default())
-    }
-
-    /// An empty MRT in an explicit [`DataLayout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_layout(machine: &Machine, period: u32, layout: DataLayout) -> Self {
         assert!(period > 0, "period must be positive");
-        let cells = match layout {
-            DataLayout::Legacy => MrtCells::Legacy(
-                machine
-                    .types()
-                    .iter()
-                    .map(|t| {
-                        vec![
-                            vec![vec![NONE; period as usize]; t.reservation.stages()];
-                            t.count as usize
-                        ]
-                    })
-                    .collect(),
-            ),
-            DataLayout::Flat => MrtCells::Flat(FlatCells {
-                classes: machine
-                    .types()
-                    .iter()
-                    .map(|t| ClassArena::new(&t.reservation, t.count, period))
-                    .collect(),
-            }),
-        };
         ModuloReservationTable {
             period,
-            cells,
+            classes: machine
+                .types()
+                .iter()
+                .map(|t| ClassArena::new(&t.reservation, t.count, period))
+                .collect(),
             fast: None,
             bundle: BundleState::new(machine, period),
         }
@@ -226,22 +180,7 @@ impl ModuloReservationTable {
     ///
     /// Panics if `period == 0`.
     pub fn with_automaton(machine: &Machine, period: u32, automaton: Arc<HazardAutomaton>) -> Self {
-        Self::with_automaton_layout(machine, period, automaton, DataLayout::default())
-    }
-
-    /// [`ModuloReservationTable::with_automaton`] in an explicit
-    /// [`DataLayout`] for the authoritative cell store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_automaton_layout(
-        machine: &Machine,
-        period: u32,
-        automaton: Arc<HazardAutomaton>,
-        layout: DataLayout,
-    ) -> Self {
-        let mut mrt = Self::with_layout(machine, period, layout);
+        let mut mrt = Self::new(machine, period);
         debug_assert_eq!(
             automaton.period(),
             period,
@@ -276,14 +215,6 @@ impl ModuloReservationTable {
         self.fast.is_some()
     }
 
-    /// The cell layout backing this table.
-    pub fn layout(&self) -> DataLayout {
-        match self.cells {
-            MrtCells::Legacy(_) => DataLayout::Legacy,
-            MrtCells::Flat(_) => DataLayout::Flat,
-        }
-    }
-
     /// Finds a unit of `class` whose cells are all free for an operation
     /// issued at `time` (first fit). Returns the unit index.
     pub fn find_free_unit(&self, machine: &Machine, class: OpClass, time: u32) -> Option<u32> {
@@ -295,9 +226,8 @@ impl ModuloReservationTable {
                 return None;
             }
         }
-        let rt = &fu_type.reservation;
         let Some(fast) = &self.fast else {
-            return (0..fu_type.count).find(|&fu| self.cells_free(rt, class, fu, time));
+            return (0..fu_type.count).find(|&fu| self.cells_free(class, fu, time));
         };
         let r = time % self.period;
         (0..fu_type.count).find(|&fu| match self.unit_free_fast(fast, class, fu, r) {
@@ -309,32 +239,21 @@ impl ModuloReservationTable {
                     fast.automaton
                         .fsa(class)
                         .is_some_and(HazardFsa::self_collides)
-                        || free == self.cells_free(rt, class, fu, time),
+                        || free == self.cells_free(class, fu, time),
                     "automaton probe disagrees with cell scan"
                 );
                 free
             }
-            None => self.cells_free(rt, class, fu, time),
+            None => self.cells_free(class, fu, time),
         })
     }
 
-    /// The layout-dispatched probe: every cell the reservation table
-    /// needs is free. One AND per occupancy word in the flat layout; a
-    /// per-cell scan in the legacy one. Identical answers.
-    fn cells_free(&self, rt: &ReservationTable, class: OpClass, fu: u32, time: u32) -> bool {
-        match &self.cells {
-            MrtCells::Legacy(cells) => (0..rt.stages()).all(|s| {
-                rt.stage_offset_iter(s).all(|l| {
-                    let r = ((time + l as u32) % self.period) as usize;
-                    cells[class.index()][fu as usize][s][r] == NONE
-                })
-            }),
-            MrtCells::Flat(flat) => {
-                let arena = &flat.classes[class.index()];
-                let mask = &arena.masks[(time % self.period) as usize];
-                mask.iter().zip(arena.unit_occ(fu)).all(|(m, o)| m & o == 0)
-            }
-        }
+    /// The cell probe: every cell the reservation table needs is free.
+    /// One AND per occupancy word.
+    fn cells_free(&self, class: OpClass, fu: u32, time: u32) -> bool {
+        let arena = &self.classes[class.index()];
+        let mask = &arena.masks[(time % self.period) as usize];
+        mask.iter().zip(arena.unit_occ(fu)).all(|(m, o)| m & o == 0)
     }
 
     /// The automaton probe: residue `r` is not forbidden on this unit.
@@ -368,33 +287,19 @@ impl ModuloReservationTable {
     /// Panics if any needed cell is already occupied (callers must use
     /// [`ModuloReservationTable::find_free_unit`] first).
     pub fn place(&mut self, machine: &Machine, class: OpClass, fu: u32, time: u32, op: usize) {
-        let rt = &machine.fu_type(class).expect("known class").reservation;
+        machine.fu_type(class).expect("known class");
         let period = self.period;
-        match &mut self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % period) as usize;
-                        let cell = &mut cells[class.index()][fu as usize][s][r];
-                        assert_eq!(*cell, NONE, "cell already occupied");
-                        *cell = op;
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &mut flat.classes[class.index()];
-                let residue = (time % period) as usize;
-                let base = fu as usize * arena.cells_per_unit;
-                for &cell in &arena.lists[residue] {
-                    let cell = &mut arena.owner[base + cell];
-                    assert_eq!(*cell, NONE, "cell already occupied");
-                    *cell = op;
-                }
-                let wbase = fu as usize * arena.words;
-                for (w, m) in arena.masks[residue].iter().enumerate() {
-                    arena.occ[wbase + w] |= m;
-                }
-            }
+        let arena = &mut self.classes[class.index()];
+        let residue = (time % period) as usize;
+        let base = fu as usize * arena.cells_per_unit;
+        for &cell in &arena.lists[residue] {
+            let cell = &mut arena.owner[base + cell];
+            assert_eq!(*cell, NONE, "cell already occupied");
+            *cell = op;
+        }
+        let wbase = fu as usize * arena.words;
+        for (w, m) in arena.masks[residue].iter().enumerate() {
+            arena.occ[wbase + w] |= m;
         }
         if let Some(fast) = &mut self.fast {
             let r = time % period;
@@ -422,36 +327,21 @@ impl ModuloReservationTable {
 
     /// Releases the cells of `op` issued at `time` on `fu`.
     pub fn remove(&mut self, machine: &Machine, class: OpClass, fu: u32, time: u32, op: usize) {
-        let rt = &machine.fu_type(class).expect("known class").reservation;
+        machine.fu_type(class).expect("known class");
         let period = self.period;
-        match &mut self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % period) as usize;
-                        let cell = &mut cells[class.index()][fu as usize][s][r];
-                        debug_assert_eq!(*cell, op, "removing someone else's reservation");
-                        *cell = NONE;
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &mut flat.classes[class.index()];
-                let residue = (time % period) as usize;
-                let base = fu as usize * arena.cells_per_unit;
-                for &cell in &arena.lists[residue] {
-                    let cell = &mut arena.owner[base + cell];
-                    debug_assert_eq!(*cell, op, "removing someone else's reservation");
-                    *cell = NONE;
-                }
-                // Every bit of the mask was exclusively this op's (place
-                // asserts cell exclusivity), so AND-NOT releases exactly
-                // its cells.
-                let wbase = fu as usize * arena.words;
-                for (w, m) in arena.masks[residue].iter().enumerate() {
-                    arena.occ[wbase + w] &= !m;
-                }
-            }
+        let arena = &mut self.classes[class.index()];
+        let residue = (time % period) as usize;
+        let base = fu as usize * arena.cells_per_unit;
+        for &cell in &arena.lists[residue] {
+            let cell = &mut arena.owner[base + cell];
+            debug_assert_eq!(*cell, op, "removing someone else's reservation");
+            *cell = NONE;
+        }
+        // Every bit of the mask was exclusively this op's (place asserts
+        // cell exclusivity), so AND-NOT releases exactly its cells.
+        let wbase = fu as usize * arena.words;
+        for (w, m) in arena.masks[residue].iter().enumerate() {
+            arena.occ[wbase + w] &= !m;
         }
         if let Some(fast) = &mut self.fast {
             let r = time % period;
@@ -503,8 +393,7 @@ impl ModuloReservationTable {
     /// [`ModuloReservationTable::conflicting_ops`] into a caller-owned
     /// scratch vector (cleared first), so hot eviction loops allocate
     /// nothing. Owners appear in first-claimed-cell scan order, each
-    /// distinct op once — both layouts produce the identical sequence,
-    /// which matters because the IMS picks eviction victims by the
+    /// distinct op once; the IMS picks eviction victims by the
     /// *distinct-owner count* of this list.
     pub fn conflicting_ops_into(
         &self,
@@ -515,28 +404,13 @@ impl ModuloReservationTable {
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        let rt = &machine.fu_type(class).expect("known class").reservation;
-        match &self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % self.period) as usize;
-                        let cell = cells[class.index()][fu as usize][s][r];
-                        if cell != NONE && !out.contains(&cell) {
-                            out.push(cell);
-                        }
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &flat.classes[class.index()];
-                let owner = arena.unit_owner(fu);
-                for &cell in &arena.lists[(time % self.period) as usize] {
-                    let op = owner[cell];
-                    if op != NONE && !out.contains(&op) {
-                        out.push(op);
-                    }
-                }
+        machine.fu_type(class).expect("known class");
+        let arena = &self.classes[class.index()];
+        let owner = arena.unit_owner(fu);
+        for &cell in &arena.lists[(time % self.period) as usize] {
+            let op = owner[cell];
+            if op != NONE && !out.contains(&op) {
+                out.push(op);
             }
         }
         if let Some(b) = &self.bundle {
@@ -576,112 +450,44 @@ mod tests {
     #[test]
     fn place_find_remove_roundtrip() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            assert_eq!(mrt.layout(), layout);
-            let fu = mrt.find_free_unit(&m, FP, 0).expect("free");
-            mrt.place(&m, FP, fu, 0, 7);
-            // Offset 1 collides on stage 3 with offset 0 on the same unit...
-            let fu2 = mrt.find_free_unit(&m, FP, 1).expect("second unit free");
-            assert_ne!(fu, fu2);
-            mrt.remove(&m, FP, fu, 0, 7);
-            assert_eq!(mrt.find_free_unit(&m, FP, 1), Some(0));
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        let fu = mrt.find_free_unit(&m, FP, 0).expect("free");
+        mrt.place(&m, FP, fu, 0, 7);
+        // Offset 1 collides on stage 3 with offset 0 on the same unit...
+        let fu2 = mrt.find_free_unit(&m, FP, 1).expect("second unit free");
+        assert_ne!(fu, fu2);
+        mrt.remove(&m, FP, fu, 0, 7);
+        assert_eq!(mrt.find_free_unit(&m, FP, 1), Some(0));
     }
 
     #[test]
     fn exhausted_units_return_none() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            mrt.place(&m, FP, 0, 0, 1);
-            mrt.place(&m, FP, 1, 0, 2);
-            // Offset 1 overlaps offset 0 on stage 3 for both units.
-            assert_eq!(mrt.find_free_unit(&m, FP, 1), None);
-            // Offset 2 does not overlap offset 0.
-            assert!(mrt.find_free_unit(&m, FP, 2).is_some());
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        mrt.place(&m, FP, 0, 0, 1);
+        mrt.place(&m, FP, 1, 0, 2);
+        // Offset 1 overlaps offset 0 on stage 3 for both units.
+        assert_eq!(mrt.find_free_unit(&m, FP, 1), None);
+        // Offset 2 does not overlap offset 0.
+        assert!(mrt.find_free_unit(&m, FP, 2).is_some());
     }
 
     #[test]
     fn conflicting_ops_lists_evictees() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            mrt.place(&m, FP, 0, 0, 1);
-            assert_eq!(mrt.conflicting_ops(&m, FP, 0, 1), vec![1]);
-            assert!(mrt.conflicting_ops(&m, FP, 0, 2).is_empty());
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        mrt.place(&m, FP, 0, 0, 1);
+        assert_eq!(mrt.conflicting_ops(&m, FP, 0, 1), vec![1]);
+        assert!(mrt.conflicting_ops(&m, FP, 0, 2).is_empty());
     }
 
     #[test]
     fn wrapping_claims_respected() {
         let m = Machine::example_non_pipelined();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            // lat-2 non-pipelined at offset 3 wraps into residues {3, 0}.
-            mrt.place(&m, FP, 0, 3, 9);
-            assert_eq!(mrt.conflicting_ops(&m, FP, 0, 0), vec![9]);
-        }
-    }
-
-    /// Replays a probe/place/remove trace on a legacy-layout MRT and a
-    /// flat one; every probe and every eviction list must answer
-    /// identically.
-    #[test]
-    fn flat_mrt_matches_legacy_mrt_decisions() {
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            for period in 2u32..=9 {
-                let mut legacy =
-                    ModuloReservationTable::with_layout(&machine, period, DataLayout::Legacy);
-                let mut flat =
-                    ModuloReservationTable::with_layout(&machine, period, DataLayout::Flat);
-                let mut placed: Vec<(OpClass, u32, u32, usize)> = Vec::new();
-                let mut op = 0usize;
-                for round in 0..3u32 {
-                    for c in 0..machine.num_classes() {
-                        let class = OpClass::new(c);
-                        if !machine.types()[c].reservation.modulo_feasible(period) {
-                            continue;
-                        }
-                        for time in 0..period + 2 {
-                            let a = legacy.find_free_unit(&machine, class, time);
-                            let b = flat.find_free_unit(&machine, class, time);
-                            assert_eq!(a, b, "T={period} class={c} t={time}");
-                            let count = machine.types()[c].count;
-                            for fu in 0..count {
-                                assert_eq!(
-                                    legacy.conflicting_ops(&machine, class, fu, time),
-                                    flat.conflicting_ops(&machine, class, fu, time),
-                                    "eviction list T={period} class={c} fu={fu} t={time}"
-                                );
-                            }
-                            if let (Some(fu), true) = (a, round != 1) {
-                                legacy.place(&machine, class, fu, time, op);
-                                flat.place(&machine, class, fu, time, op);
-                                placed.push((class, fu, time, op));
-                                op += 1;
-                            }
-                        }
-                    }
-                    let mut keep = Vec::new();
-                    for (k, &(class, fu, time, op)) in placed.iter().enumerate() {
-                        if k % 2 == 0 {
-                            legacy.remove(&machine, class, fu, time, op);
-                            flat.remove(&machine, class, fu, time, op);
-                        } else {
-                            keep.push((class, fu, time, op));
-                        }
-                    }
-                    placed = keep;
-                }
-            }
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        // lat-2 non-pipelined at offset 3 wraps into residues {3, 0}.
+        mrt.place(&m, FP, 0, 3, 9);
+        assert_eq!(mrt.conflicting_ops(&m, FP, 0, 0), vec![9]);
     }
 
     /// Replays a probe/place/remove trace on a plain MRT and an
@@ -796,15 +602,6 @@ mod tests {
     fn double_placement_panics() {
         let m = Machine::example_pldi95();
         let mut mrt = ModuloReservationTable::new(&m, 4);
-        mrt.place(&m, FP, 0, 0, 1);
-        mrt.place(&m, FP, 0, 1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell already occupied")]
-    fn double_placement_panics_legacy() {
-        let m = Machine::example_pldi95();
-        let mut mrt = ModuloReservationTable::with_layout(&m, 4, DataLayout::Legacy);
         mrt.place(&m, FP, 0, 0, 1);
         mrt.place(&m, FP, 0, 1, 2);
     }

@@ -1,99 +1,24 @@
-//! Layout-equivalence property tests for the heuristics: the flat MRT
-//! arenas and the IMS scratch-buffer path must be decision-identical to
-//! the legacy nested-`Vec` layout — same schedules, same eviction
-//! counts, same probe answers — on random loops and probe sequences.
+//! Reference property test for the modulo reservation table: every
+//! flat-MRT probe answer must match the naive fixed-assignment checker
+//! run on the ops placed so far plus the candidate, along a random
+//! place/remove/probe sequence.
 //!
 //! Replay a failing stream with `SWP_PROPTEST_SEED=<seed>`.
 
 use proptest::prelude::*;
-use swp_ddg::{Ddg, OpClass};
-use swp_heuristics::{IterativeModuloScheduler, ListModuloScheduler, ModuloReservationTable};
-use swp_machine::{DataLayout, Machine};
-
-fn arb_loop() -> impl Strategy<Value = Ddg> {
-    (2usize..8).prop_flat_map(|n| {
-        let classes = proptest::collection::vec(0usize..3, n);
-        let preds = proptest::collection::vec(any::<u16>(), n - 1);
-        let carried = proptest::option::of((0..n, 1u32..3));
-        (classes, preds, carried).prop_map(move |(classes, preds, carried)| {
-            let mut g = Ddg::new();
-            let lat = [1u32, 2, 3];
-            let ids: Vec<_> = classes
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| g.add_node(format!("n{i}"), OpClass::new(c), lat[c]))
-                .collect();
-            for (i, &p) in preds.iter().enumerate() {
-                let src = (p as usize) % (i + 1);
-                g.add_edge(ids[src], ids[i + 1], 0).expect("valid");
-            }
-            if let Some((k, d)) = carried {
-                g.add_edge(ids[k], ids[k], d).expect("valid");
-            }
-            g
-        })
-    })
-}
+use swp_ddg::OpClass;
+use swp_heuristics::ModuloReservationTable;
+use swp_machine::{check_fixed_assignment, Machine, PlacedOp};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// IMS produces the identical result under both layouts: same start
-    /// times, same unit assignment, same MII, same ii trajectory, same
-    /// eviction count.
+    /// `find_free_unit` returns the first unit on which the naive
+    /// checker accepts the live ops plus the candidate, and
+    /// `conflicting_ops` lists exactly the live ops the naive checker
+    /// finds colliding with the candidate on that unit.
     #[test]
-    fn ims_is_layout_invariant(g in arb_loop()) {
-        for machine in [Machine::example_pldi95(), Machine::example_non_pipelined()] {
-            let legacy = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g);
-            let flat = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Flat)
-                .schedule(&g);
-            match (legacy, flat) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.schedule.start_times(), b.schedule.start_times());
-                    prop_assert_eq!(a.schedule.assignment(), b.schedule.assignment());
-                    prop_assert_eq!(
-                        a.schedule.initiation_interval(),
-                        b.schedule.initiation_interval()
-                    );
-                    prop_assert_eq!(a.mii, b.mii);
-                    prop_assert_eq!(a.tried, b.tried);
-                    prop_assert_eq!(a.evictions, b.evictions);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "verdicts diverge: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    /// The no-backtracking list scheduler is likewise layout-invariant.
-    #[test]
-    fn list_scheduler_is_layout_invariant(g in arb_loop()) {
-        let machine = Machine::example_pldi95();
-        let legacy = ListModuloScheduler::new(machine.clone())
-            .with_layout(DataLayout::Legacy)
-            .schedule(&g);
-        let flat = ListModuloScheduler::new(machine)
-            .with_layout(DataLayout::Flat)
-            .schedule(&g);
-        match (legacy, flat) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.schedule.start_times(), b.schedule.start_times());
-                prop_assert_eq!(a.schedule.assignment(), b.schedule.assignment());
-                prop_assert_eq!(a.tried, b.tried);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "verdicts diverge: {a:?} vs {b:?}"),
-        }
-    }
-
-    /// Driving two MRTs (one per layout) through the same random
-    /// place/remove/probe sequence keeps every observable identical:
-    /// `find_free_unit` answers and `conflicting_ops` owner sequences.
-    #[test]
-    fn mrt_probes_are_layout_invariant(
+    fn mrt_probes_match_naive_checker(
         period in 1u32..=8,
         steps in proptest::collection::vec(
             (0usize..3, 0u32..16, any::<bool>()),
@@ -101,40 +26,49 @@ proptest! {
         ),
     ) {
         let machine = Machine::example_pldi95();
-        let mut legacy = ModuloReservationTable::with_layout(&machine, period, DataLayout::Legacy);
-        let mut flat = ModuloReservationTable::with_layout(&machine, period, DataLayout::Flat);
-        // (op id, class, fu, time) of live placements, for removals.
-        let mut live: Vec<(usize, OpClass, u32, u32)> = Vec::new();
+        let mut mrt = ModuloReservationTable::new(&machine, period);
+        // (op id, live placement) pairs, for removals and the checker.
+        let mut live: Vec<(usize, PlacedOp)> = Vec::new();
         for (op, &(c, time, remove)) in steps.iter().enumerate() {
             let class = OpClass::new(c);
             if remove && !live.is_empty() {
-                let (id, rc, rfu, rt) = live.swap_remove(op % live.len());
-                legacy.remove(&machine, rc, rfu, rt, id);
-                flat.remove(&machine, rc, rfu, rt, id);
+                let (id, p) = live.swap_remove(op % live.len());
+                let fu = p.fu.expect("placed ops are mapped");
+                // The MRT only needs the issue residue, not the time.
+                mrt.remove(&machine, p.class, fu, p.offset, id);
                 continue;
             }
-            let a = legacy.find_free_unit(&machine, class, time);
-            let b = flat.find_free_unit(&machine, class, time);
-            prop_assert_eq!(a, b, "probe diverged at step {}", op);
-            let count = machine.fu_type(class).expect("known").count;
-            let fu = a.unwrap_or(op as u32 % count);
-            prop_assert_eq!(
-                legacy.conflicting_ops(&machine, class, fu, time),
-                flat.conflicting_ops(&machine, class, fu, time),
-                "eviction sets diverged at step {}", op
-            );
-            // Like the IMS, only place where the class is modulo-feasible
-            // at this period: the cell scan's "free" verdict ignores an
-            // op's self-collisions, which `place` would then reject.
-            let feasible = machine
-                .fu_type(class)
-                .expect("known")
-                .reservation
-                .modulo_feasible(period);
-            if let (Some(fu), true) = (a, feasible) {
-                legacy.place(&machine, class, fu, time, op);
-                flat.place(&machine, class, fu, time, op);
-                live.push((op, class, fu, time));
+            let fu_type = machine.fu_type(class).expect("known");
+            // The cell probe ignores an op's self-collisions (the IMS
+            // never places a class that is not modulo-feasible at the
+            // period), so only feasible classes are checked and placed.
+            if !fu_type.reservation.modulo_feasible(period) {
+                continue;
+            }
+            let candidate = |fu| PlacedOp { class, offset: time % period, fu: Some(fu) };
+            let fits = |fu| {
+                let mut ops: Vec<PlacedOp> = live.iter().map(|&(_, p)| p).collect();
+                ops.push(candidate(fu));
+                check_fixed_assignment(&machine, period, &ops).is_ok()
+            };
+            let got = mrt.find_free_unit(&machine, class, time);
+            prop_assert_eq!(got, (0..fu_type.count).find(|&fu| fits(fu)), "probe at step {}", op);
+            for fu in 0..fu_type.count {
+                let mut evict = mrt.conflicting_ops(&machine, class, fu, time);
+                evict.sort_unstable();
+                let mut expected: Vec<usize> = live
+                    .iter()
+                    .filter(|&&(_, p)| {
+                        check_fixed_assignment(&machine, period, &[p, candidate(fu)]).is_err()
+                    })
+                    .map(|&(id, _)| id)
+                    .collect();
+                expected.sort_unstable();
+                prop_assert_eq!(evict, expected, "eviction set at step {} fu {}", op, fu);
+            }
+            if let Some(fu) = got {
+                mrt.place(&machine, class, fu, time, op);
+                live.push((op, candidate(fu)));
             }
         }
     }

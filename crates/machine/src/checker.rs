@@ -7,7 +7,6 @@
 //! time step.
 
 use crate::machine::{Machine, MachineError};
-use crate::DataLayout;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -293,7 +292,8 @@ pub fn check_fixed_assignment(
 
 /// Per-class modulo tables shared by the flat checker paths: for each
 /// unit class, the word-parallel claimed-cell masks and the claimed-cell
-/// lists in exact legacy scan order (stage-major, offsets ascending).
+/// lists in the naive checker's scan order (stage-major, offsets
+/// ascending).
 struct FlatTables {
     masks: Vec<Vec<Vec<u64>>>,
     lists: Vec<Vec<Vec<usize>>>,
@@ -327,11 +327,16 @@ impl FlatTables {
     }
 }
 
-/// The flat-layout twin of [`check_fixed_assignment`]: per-(class, fu)
+/// The word-parallel twin of [`check_fixed_assignment`]: per-(class, fu)
 /// u64 occupancy words probed with one AND per word, plus a flat owner
-/// array used only to reconstruct the exact legacy error. Byte-identical
-/// results — same first error in the naive checker's scan order.
-fn check_fixed_assignment_flat(
+/// array used only to reconstruct the naive checker's error.
+/// Byte-identical results — same first error in the naive checker's
+/// scan order, which the proptests check.
+///
+/// # Errors
+///
+/// The first [`ConflictError`] found, scanning ops in order.
+pub fn check_fixed_assignment_flat(
     machine: &Machine,
     period: u32,
     ops: &[PlacedOp],
@@ -385,7 +390,7 @@ fn check_fixed_assignment_flat(
             }
         } else {
             // Word probe hit (or the class self-collides at this period):
-            // walk the claimed cells in legacy scan order so the first
+            // walk the claimed cells in naive scan order so the first
             // collision reported matches the naive checker exactly.
             for &cell in &ft.lists[c][off] {
                 if unit_owner[cell] != usize::MAX {
@@ -407,26 +412,6 @@ fn check_fixed_assignment_flat(
         }
     }
     Ok(())
-}
-
-/// [`check_fixed_assignment`] dispatched on [`DataLayout`]: `Legacy`
-/// runs the original per-cell hash-map scan, `Flat` the word-parallel
-/// occupancy probe. Both return byte-identical results; the equivalence
-/// proptests enforce it.
-///
-/// # Errors
-///
-/// The first [`ConflictError`] found, scanning ops in order.
-pub fn check_fixed_assignment_layout(
-    machine: &Machine,
-    period: u32,
-    ops: &[PlacedOp],
-    layout: DataLayout,
-) -> Result<(), ConflictError> {
-    match layout {
-        DataLayout::Legacy => check_fixed_assignment(machine, period, ops),
-        DataLayout::Flat => check_fixed_assignment_flat(machine, period, ops),
-    }
 }
 
 /// [`check_fixed_assignment`] with an optional [`ConflictOracle`] fast
@@ -720,74 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_checker_matches_naive_on_every_fixture() {
-        // Every fixture the naive checker is tested with, plus wraparound
-        // self-collision and mixed-class schedules: the flat layout must
-        // return the byte-identical result (same variant, same fields,
-        // same first error in scan order).
-        let machines = [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ];
-        let int = |offset, fu| PlacedOp {
-            class: OpClass::new(0),
-            offset,
-            fu,
-        };
-        let cases: Vec<Vec<PlacedOp>> = vec![
-            vec![fp(0, Some(0)), fp(0, Some(1))],
-            vec![fp(0, Some(0)), fp(1, Some(0))],
-            vec![fp(0, Some(0)), fp(1, Some(0)), fp(9, Some(0))],
-            vec![fp(0, None)],
-            vec![fp(9, Some(0))],
-            vec![fp(0, Some(7))],
-            vec![
-                fp(0, Some(0)),
-                int(0, Some(0)),
-                fp(2, Some(0)),
-                int(1, Some(0)),
-            ],
-            vec![
-                fp(0, Some(0)),
-                fp(2, Some(1)),
-                fp(3, Some(0)),
-                fp(1, Some(1)),
-            ],
-            vec![PlacedOp {
-                class: OpClass::new(9),
-                offset: 0,
-                fu: Some(0),
-            }],
-        ];
-        for m in &machines {
-            for period in 1u32..7 {
-                for ops in &cases {
-                    assert_eq!(
-                        check_fixed_assignment_layout(m, period, ops, DataLayout::Flat),
-                        check_fixed_assignment_layout(m, period, ops, DataLayout::Legacy),
-                        "period {period}, ops {ops:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flat_checker_reports_wraparound_self_collision_identically() {
-        let m = Machine::example_non_pipelined();
-        let ops = [fp(0, Some(0))];
-        let legacy = check_fixed_assignment_layout(&m, 1, &ops, DataLayout::Legacy);
-        let flat = check_fixed_assignment_layout(&m, 1, &ops, DataLayout::Flat);
-        assert!(matches!(
-            legacy,
-            Err(ConflictError::StageCollision { ops: (0, 0), .. })
-        ));
-        assert_eq!(flat, legacy);
-    }
-
-    #[test]
     fn bundle_width_enforced_by_every_entry_point() {
         use crate::machine::BundleSpec;
         let m = Machine::example_clean()
@@ -803,20 +720,14 @@ mod tests {
             cap: 1,
         });
         assert_eq!(check_fixed_assignment(&m, 4, &ops), expected);
-        assert_eq!(
-            check_fixed_assignment_layout(&m, 4, &ops, DataLayout::Flat),
-            expected
-        );
+        assert_eq!(check_fixed_assignment_flat(&m, 4, &ops), expected);
         assert_eq!(check_fixed_assignment_with(&m, 4, &ops, None), expected);
         let unmapped = [fp(0, None), fp(0, None)];
         assert_eq!(check_capacity_only(&m, 4, &unmapped), expected);
         // Staggered issues pass everywhere.
         let ok = [fp(0, Some(0)), fp(1, Some(1))];
         assert_eq!(check_fixed_assignment(&m, 4, &ok), Ok(()));
-        assert_eq!(
-            check_fixed_assignment_layout(&m, 4, &ok, DataLayout::Flat),
-            Ok(())
-        );
+        assert_eq!(check_fixed_assignment_flat(&m, 4, &ok), Ok(()));
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod schedule;
 pub mod sim;
 
 pub use checker::{
-    check_capacity_only, check_fixed_assignment, check_fixed_assignment_layout,
+    check_capacity_only, check_fixed_assignment, check_fixed_assignment_flat,
     check_fixed_assignment_with, ConflictError, ConflictOracle, PlacedOp,
 };
 pub use collision::CollisionInfo;
@@ -42,19 +42,15 @@ pub use restable::ReservationTable;
 pub use schedule::{Matrices, PipelinedSchedule, ValidationError};
 pub use sim::{simulate, SimError, SimReport, UnitPolicy};
 
-/// Memory layout used by the hot-path conflict structures: the modulo
-/// reservation table's cells, the fixed-assignment checker's usage map,
-/// and related inner loops.
+/// Memory layout of the hot-path conflict structures: the modulo
+/// reservation table's cells and the fixed-assignment checker's usage
+/// map.
 ///
-/// Both layouts are decision-identical — same accept/reject verdicts,
-/// same first error in scan order, same eviction metrics — which the
-/// equivalence proptests enforce. `Flat` replaces nested-`Vec` per-cell
-/// scans with stride-indexed arenas probed via u64 occupancy words.
+/// `Flat` is the only layout. The enum is kept because the benchmark
+/// under `schedbench/` names it when it checks a scheduler
+/// configuration; a single value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataLayout {
-    /// The original nested-`Vec` per-cell layout, kept as a selectable
-    /// fallback and as the reference arm of A/B benchmarks.
-    Legacy,
     /// Flat stride-indexed arenas with word-parallel occupancy tests.
     #[default]
     Flat,

@@ -15,11 +15,10 @@
 //! regenerated from it.
 
 use crate::checker::{
-    check_capacity_only, check_fixed_assignment_layout, check_fixed_assignment_with, ConflictError,
+    check_capacity_only, check_fixed_assignment_flat, check_fixed_assignment_with, ConflictError,
     ConflictOracle, PlacedOp,
 };
 use crate::machine::Machine;
-use crate::DataLayout;
 use std::fmt;
 use swp_ddg::{Ddg, NodeId};
 
@@ -239,27 +238,6 @@ impl PipelinedSchedule {
         machine: &Machine,
         oracle: Option<&dyn ConflictOracle>,
     ) -> Result<(), ValidationError> {
-        self.validate_layout(ddg, machine, oracle, DataLayout::default())
-    }
-
-    /// [`PipelinedSchedule::validate_with`] with an explicit
-    /// [`DataLayout`] for the mapped-conflict check when no oracle
-    /// applies: `Flat` probes per-unit u64 occupancy words, `Legacy`
-    /// runs the original per-cell hash scan. When an oracle is supplied
-    /// it takes the oracle fast path regardless of layout (its exact
-    /// fallback is the legacy scan). All combinations return
-    /// byte-identical results.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ValidationError`] found.
-    pub fn validate_layout(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        oracle: Option<&dyn ConflictOracle>,
-        layout: DataLayout,
-    ) -> Result<(), ValidationError> {
         if self.start_times.len() != ddg.num_nodes() {
             return Err(ValidationError::WrongArity {
                 schedule: self.start_times.len(),
@@ -284,7 +262,7 @@ impl PipelinedSchedule {
         if self.is_mapped() {
             match oracle {
                 Some(_) => check_fixed_assignment_with(machine, self.period, &ops, oracle)?,
-                None => check_fixed_assignment_layout(machine, self.period, &ops, layout)?,
+                None => check_fixed_assignment_flat(machine, self.period, &ops)?,
             }
         } else {
             check_capacity_only(machine, self.period, &ops)?;

@@ -1,5 +1,5 @@
-//! Layout-equivalence property tests for the conflict checker: the flat
-//! word-parallel occupancy probe must be byte-identical to the legacy
+//! Reference property tests for the conflict checker: the flat
+//! word-parallel occupancy probe must be byte-identical to the naive
 //! per-cell scan — same verdict and the same *first* error — on random
 //! machines and random (frequently invalid) placements.
 //!
@@ -8,7 +8,8 @@
 use proptest::prelude::*;
 use swp_ddg::OpClass;
 use swp_machine::{
-    check_fixed_assignment_layout, DataLayout, FuType, Machine, PlacedOp, ReservationTable,
+    check_fixed_assignment, check_fixed_assignment_flat, FuType, Machine, PlacedOp,
+    ReservationTable,
 };
 
 /// Arbitrary well-formed reservation table (1–4 stages, 1–8 columns,
@@ -76,20 +77,22 @@ fn arb_case() -> impl Strategy<Value = (Machine, u32, Vec<PlacedOp>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The two checker layouts agree exactly — `Ok` for `Ok`, and on
-    /// failure the identical first `ConflictError`, field for field.
+    /// The flat checker agrees exactly with the naive one — `Ok` for
+    /// `Ok`, and on failure the identical first `ConflictError`, field
+    /// for field.
     #[test]
-    fn checker_layouts_agree(case in arb_case()) {
+    fn flat_checker_matches_naive(case in arb_case()) {
         let (machine, period, ops) = case;
-        let legacy = check_fixed_assignment_layout(&machine, period, &ops, DataLayout::Legacy);
-        let flat = check_fixed_assignment_layout(&machine, period, &ops, DataLayout::Flat);
-        prop_assert_eq!(legacy, flat);
+        prop_assert_eq!(
+            check_fixed_assignment_flat(&machine, period, &ops),
+            check_fixed_assignment(&machine, period, &ops)
+        );
     }
 
     /// Restricting to in-range placements (the hot path — no sanity
-    /// errors, only genuine stage collisions) the layouts still agree.
+    /// errors, only genuine stage collisions) the two still agree.
     #[test]
-    fn checker_layouts_agree_on_collisions(case in arb_case()) {
+    fn flat_checker_matches_naive_on_collisions(case in arb_case()) {
         let (machine, period, ops) = case;
         let valid: Vec<PlacedOp> = ops
             .into_iter()
@@ -103,8 +106,9 @@ proptest! {
                 }
             })
             .collect();
-        let legacy = check_fixed_assignment_layout(&machine, period, &valid, DataLayout::Legacy);
-        let flat = check_fixed_assignment_layout(&machine, period, &valid, DataLayout::Flat);
-        prop_assert_eq!(legacy, flat);
+        prop_assert_eq!(
+            check_fixed_assignment_flat(&machine, period, &valid),
+            check_fixed_assignment(&machine, period, &valid)
+        );
     }
 }

@@ -11,8 +11,7 @@
 use crate::budget::{Budget, Exhaustion};
 use crate::model::{Model, Sense, VarKind};
 use crate::simplex::{
-    solve_lp_warm_layout, solve_lp_with_layout, LpBasis, LpOutcome, LpProblem, PivotLayout,
-    FEAS_TOL,
+    solve_lp_warm, solve_lp_with, LpBasis, LpOutcome, LpProblem, PivotLayout, FEAS_TOL,
 };
 use crate::SolveError;
 use std::fmt;
@@ -85,10 +84,9 @@ pub struct SolveLimits {
     /// with a full ratio test, so the hint can never change the verdict
     /// — only the pivot count (default: none).
     pub warm_basis: Option<LpBasis>,
-    /// Inner-loop layout of every node LP's pivot elimination (default:
-    /// [`PivotLayout::SparseRow`]). Layouts are decision-identical —
-    /// same pivot sequences, verdicts, and tick spending — so this
-    /// only trades inner-loop cost; see [`crate::simplex`]'s docs.
+    /// Inner-loop layout of every node LP's pivot elimination.
+    /// [`PivotLayout::SparseRow`] is its only value; the field is kept
+    /// because the benchmark under `schedbench/` sets it.
     pub pivot_layout: PivotLayout,
 }
 
@@ -355,18 +353,12 @@ impl<'a> BranchBound<'a> {
             // next solve; deeper nodes stay on the cold path, whose pivot
             // sequence is untouched.
             let lp_result = if node.depth == 0 {
-                solve_lp_warm_layout(
-                    &lp,
-                    &self.limits.budget,
-                    self.limits.warm_basis.as_ref(),
-                    self.limits.pivot_layout,
-                )
-                .map(|r| {
+                solve_lp_warm(&lp, &self.limits.budget, self.limits.warm_basis.as_ref()).map(|r| {
                     root_basis = Some(r.basis);
                     r.outcome
                 })
             } else {
-                solve_lp_with_layout(&lp, &self.limits.budget, self.limits.pivot_layout)
+                solve_lp_with(&lp, &self.limits.budget)
             };
             let sol = match lp_result {
                 Ok(LpOutcome::Optimal(s)) => s,

@@ -11,16 +11,14 @@
 //! switch to Bland's rule after a run of degenerate pivots, which
 //! guarantees termination.
 //!
-//! The pivot inner loop comes in two [`PivotLayout`]s: the seed's dense
-//! row sweep, and a sparse sweep that enumerates the pivot row's
-//! nonzero columns once and skips the exact zeros in every eliminated
-//! row. Scheduling tableaus are mostly zeros (each constraint touches a
-//! handful of the `ops × slots` columns), so the sparse sweep does a
-//! small fraction of the arithmetic — and because every skipped update
-//! is `x -= f · (±0.0)`, which can change at most the sign of a zero,
-//! and every decision in the solver is a comparison (IEEE orders
-//! `-0.0 == 0.0`), the two layouts take bit-identical pivot sequences
-//! and return equal results.
+//! The pivot inner loop enumerates the pivot row's nonzero columns once
+//! and skips the exact zeros in every eliminated row. Scheduling
+//! tableaus are mostly zeros (each constraint touches a handful of the
+//! `ops × slots` columns), so this does a small fraction of a full-width
+//! sweep's arithmetic — and because every skipped update is
+//! `x -= f · (±0.0)`, which can change at most the sign of a zero, and
+//! every decision in the solver is a comparison (IEEE orders
+//! `-0.0 == 0.0`), it takes the same pivot sequence a full sweep would.
 
 // Tableau arithmetic is clearer with explicit indices.
 #![allow(clippy::needless_range_loop)]
@@ -36,13 +34,13 @@ const PIVOT_TOL: f64 = 1e-9;
 /// Number of consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_SWITCH: usize = 60;
 
-/// Inner-loop layout of the pivot elimination (see the module docs for
-/// the decision-identity argument).
+/// Inner-loop layout of the pivot elimination (see the module docs).
+///
+/// `SparseRow` is the only layout. The enum is kept because the
+/// benchmark under `schedbench/` names it when it builds
+/// [`crate::SolveLimits`]; a single value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PivotLayout {
-    /// The seed's full-width row sweep, kept as a selectable fallback
-    /// and as the reference arm of A/B benchmarks.
-    Dense,
     /// Sweep only the pivot row's nonzero columns, collected once per
     /// pivot into a reusable index list.
     #[default]
@@ -162,48 +160,13 @@ impl Tableau {
         self.a[r * self.n + c]
     }
 
-    fn pivot(&mut self, pr: usize, pc: usize) {
-        let n = self.n;
-        let piv = self.a[pr * n + pc];
-        let inv = 1.0 / piv;
-        for c in 0..n {
-            self.a[pr * n + c] *= inv;
-        }
-        self.rhs[pr] *= inv;
-        let rhs_pr = self.rhs[pr];
-        // Split the pivot row out so other rows can be updated without
-        // aliasing the borrow.
-        let (before, rest) = self.a.split_at_mut(pr * n);
-        let (prow, after) = rest.split_at_mut(n);
-        for (ri, row) in before.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for c in 0..n {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0; // exact zero to contain drift
-                self.rhs[ri] -= f * rhs_pr;
-            }
-        }
-        for (ri, row) in after.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for c in 0..n {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0;
-                self.rhs[pr + 1 + ri] -= f * rhs_pr;
-            }
-        }
-        self.basis[pr] = pc;
-    }
-
-    /// [`Tableau::pivot`] sweeping only the pivot row's nonzeros, which
-    /// are collected into `nz` (reused across pivots). Every elimination
-    /// this skips is `row[c] -= f * (±0.0)` — a value-level no-op — so
-    /// the resulting tableau is equal to the dense sweep's under every
-    /// IEEE comparison (only signs of zeros may differ).
-    fn pivot_sparse(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
+    /// Pivots on `(pr, pc)`, sweeping only the pivot row's nonzeros,
+    /// which are collected into `nz` (reused across pivots, and left
+    /// holding them for the caller's reduced-cost update). Every
+    /// elimination this skips is `row[c] -= f * (±0.0)` — a value-level
+    /// no-op — so the resulting tableau equals a full-width sweep's under
+    /// every IEEE comparison (only signs of zeros may differ).
+    fn pivot(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
         let n = self.n;
         let piv = self.a[pr * n + pc];
         let inv = 1.0 / piv;
@@ -242,15 +205,6 @@ impl Tableau {
         }
         self.basis[pr] = pc;
     }
-
-    /// Layout-dispatched pivot; `nz` is the sparse sweep's reusable
-    /// nonzero-column scratch, left holding the pivot row's nonzeros.
-    fn pivot_with(&mut self, pr: usize, pc: usize, layout: PivotLayout, nz: &mut Vec<usize>) {
-        match layout {
-            PivotLayout::Dense => self.pivot(pr, pc),
-            PivotLayout::SparseRow => self.pivot_sparse(pr, pc, nz),
-        }
-    }
 }
 
 /// Solves the LP by two-phase dense primal simplex, unbudgeted.
@@ -267,7 +221,7 @@ impl Tableau {
 pub fn solve_lp(p: &LpProblem) -> LpOutcome {
     // A fresh unlimited budget cannot trip, so the only possible error is
     // unreachable; Infeasible is the safe fallback if it ever were not.
-    solve_lp_impl(p, &Budget::unlimited(), false, None, PivotLayout::default())
+    solve_lp_impl(p, &Budget::unlimited(), false, None)
         .map(|r| r.outcome)
         .unwrap_or(LpOutcome::Infeasible)
 }
@@ -282,22 +236,7 @@ pub fn solve_lp(p: &LpProblem) -> LpOutcome {
 /// * [`SolveError::Numerical`] — the pivot cap was exhausted without
 ///   convergence (a stall or cycling even Bland's rule did not resolve).
 pub fn solve_lp_with(p: &LpProblem, budget: &Budget) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, true, None, PivotLayout::default()).map(|r| r.outcome)
-}
-
-/// [`solve_lp_with`] under an explicit [`PivotLayout`]. Verdicts,
-/// pivot sequences, and tick spending are layout-independent; only the
-/// inner-loop cost differs.
-///
-/// # Errors
-///
-/// As [`solve_lp_with`].
-pub fn solve_lp_with_layout(
-    p: &LpProblem,
-    budget: &Budget,
-    layout: PivotLayout,
-) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, true, None, layout).map(|r| r.outcome)
+    solve_lp_impl(p, budget, true, None).map(|r| r.outcome)
 }
 
 /// Solves the LP under a [`Budget`] with an optional basis hint, and
@@ -320,23 +259,7 @@ pub fn solve_lp_warm(
     budget: &Budget,
     hint: Option<&LpBasis>,
 ) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, true, hint, PivotLayout::default())
-}
-
-/// [`solve_lp_warm`] under an explicit [`PivotLayout`]. Verdicts,
-/// pivot sequences, and tick spending are layout-independent; only the
-/// inner-loop cost differs.
-///
-/// # Errors
-///
-/// As [`solve_lp_warm`].
-pub fn solve_lp_warm_layout(
-    p: &LpProblem,
-    budget: &Budget,
-    hint: Option<&LpBasis>,
-    layout: PivotLayout,
-) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, true, hint, layout)
+    solve_lp_impl(p, budget, true, hint)
 }
 
 fn solve_lp_impl(
@@ -344,7 +267,6 @@ fn solve_lp_impl(
     budget: &Budget,
     strict: bool,
     hint: Option<&LpBasis>,
-    layout: PivotLayout,
 ) -> Result<WarmLpResult, SolveError> {
     let ncols = p.num_cols();
     // Early exits happen before any tableau exists; they carry an empty
@@ -583,7 +505,7 @@ fn solve_lp_impl(
                 continue; // no feasibility-preserving pivot for this column
             }
             budget.tick().map_err(SolveError::from)?;
-            t.pivot_with(pr, pc, layout, &mut nz);
+            t.pivot(pr, pc, &mut nz);
             crash_pivots += 1;
             iterations += 1;
         }
@@ -595,9 +517,7 @@ fn solve_lp_impl(
         for &c in &art_cols {
             cost[c] = 1.0;
         }
-        match run_simplex(&mut t, &cost, &mut iterations, budget, layout)
-            .map_err(SolveError::from)?
-        {
+        match run_simplex(&mut t, &cost, &mut iterations, budget).map_err(SolveError::from)? {
             SimplexEnd::Optimal => {}
             SimplexEnd::Unbounded => return Ok(bare(LpOutcome::Infeasible)), // cannot happen; safe
             SimplexEnd::Stalled if strict => {
@@ -627,7 +547,7 @@ fn solve_lp_impl(
         for r in 0..m {
             if art_cols.contains(&t.basis[r]) {
                 if let Some(pc) = (0..nstruct + nslack).find(|&c| t.at(r, c).abs() > PIVOT_TOL) {
-                    t.pivot_with(r, pc, layout, &mut nz);
+                    t.pivot(r, pc, &mut nz);
                 }
                 // If no pivot exists the row is redundant (all zeros); the
                 // artificial stays basic at value 0 and is harmless as long
@@ -655,7 +575,7 @@ fn solve_lp_impl(
     }
     // Forbid artificials from re-entering.
     let art_start = nstruct + nslack;
-    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget, layout)
+    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget)
         .map_err(SolveError::from)?
     {
         SimplexEnd::Optimal => {}
@@ -726,10 +646,9 @@ fn run_simplex(
     cost: &[f64],
     iterations: &mut usize,
     budget: &Budget,
-    layout: PivotLayout,
 ) -> Result<SimplexEnd, Exhaustion> {
     let n = t.n;
-    run_simplex_restricted(t, cost, n, iterations, budget, layout)
+    run_simplex_restricted(t, cost, n, iterations, budget)
 }
 
 /// Simplex iterations with entering columns restricted to `0..col_limit`.
@@ -743,7 +662,6 @@ fn run_simplex_restricted(
     col_limit: usize,
     iterations: &mut usize,
     budget: &Budget,
-    layout: PivotLayout,
 ) -> Result<SimplexEnd, Exhaustion> {
     let m = t.m;
     let n = t.n;
@@ -808,28 +726,15 @@ fn run_simplex_restricted(
         } else {
             degen_run = 0;
         }
-        // Update the objective row, then pivot. The sparse sweep skips
-        // the same exact zeros in `z` that it skips in the tableau rows.
+        // Update the objective row, then pivot. The sweep skips the same
+        // exact zeros in `z` that it skips in the tableau rows.
         let f = z[pc];
-        match layout {
-            PivotLayout::Dense => {
-                t.pivot(pr, pc);
-                if f != 0.0 {
-                    for c in 0..n {
-                        z[c] -= f * t.at(pr, c);
-                    }
-                    z[pc] = 0.0;
-                }
+        t.pivot(pr, pc, &mut nz);
+        if f != 0.0 {
+            for &c in &nz {
+                z[c] -= f * t.at(pr, c);
             }
-            PivotLayout::SparseRow => {
-                t.pivot_sparse(pr, pc, &mut nz);
-                if f != 0.0 {
-                    for &c in &nz {
-                        z[c] -= f * t.at(pr, c);
-                    }
-                    z[pc] = 0.0;
-                }
-            }
+            z[pc] = 0.0;
         }
         *iterations += 1;
     }

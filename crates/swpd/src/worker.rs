@@ -85,7 +85,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
         // warm-sweep mode; fingerprint accordingly so daemon records
         // stay interchangeable with the harness's warm records.
         warm: true,
-        layout: Default::default(),
         max_live: None,
     };
     let key = CacheKey {
