@@ -1,24 +1,23 @@
 //! The per-`(machine, T)` hazard automaton and its memo registry.
 
 use crate::bits;
-use crate::fsa::HazardFsa;
 use crate::matrix::CollisionMatrix;
 use crate::stats;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use swp_ddg::{Ddg, OpClass};
 use swp_loops::fingerprint::machine_fingerprint;
-use swp_machine::{ConflictOracle, Machine, MachineError};
+use swp_machine::{Machine, MachineError};
 
-/// A complete structural-conflict oracle for one machine at one period:
-/// the pairwise [`CollisionMatrix`], one [`HazardFsa`] per class, and
-/// the per-unit packing capacity derived from the conflict closure.
+/// The CP engine's structural-conflict tables for one machine at one
+/// period: the pairwise [`CollisionMatrix`], the per-class
+/// forbidden-latency closure, and the per-unit packing capacity derived
+/// from it.
 #[derive(Debug)]
 pub struct HazardAutomaton {
     machine_fp: u64,
     period: u32,
     matrix: CollisionMatrix,
-    fsas: Vec<HazardFsa>,
     /// `capacity[class]`: max operations of `class` one physical unit
     /// can carry per period without a stage collision. Equals
     /// `ReservationTable::max_ops_per_period` (max independent set in
@@ -48,14 +47,12 @@ impl HazardAutomaton {
     pub fn build(machine: &Machine, period: u32) -> Self {
         stats::count_memo_build();
         let matrix = CollisionMatrix::build(machine, period);
-        let mut fsas = Vec::with_capacity(matrix.num_classes());
         let mut capacity = Vec::with_capacity(matrix.num_classes());
         let mut closure = Vec::with_capacity(matrix.num_classes());
         for c in 0..matrix.num_classes() {
             let class = OpClass::new(c);
             let self_collides = matrix.self_collides(class).unwrap_or(true);
             let conflict = matrix.conflict_vector(c);
-            fsas.push(HazardFsa::build(conflict, self_collides, period));
             // The forbidden-latency closure at residue 0 seeds both the
             // packing search below and the CP propagator's word-parallel
             // domain pruning; computing it once here is the whole point
@@ -69,7 +66,6 @@ impl HazardAutomaton {
             machine_fp: machine_fingerprint(machine),
             period,
             matrix,
-            fsas,
             capacity,
             closure,
         }
@@ -113,11 +109,6 @@ impl HazardAutomaton {
         &self.matrix
     }
 
-    /// The hazard FSA of `class`, or `None` for an unknown class.
-    pub fn fsa(&self, class: OpClass) -> Option<&HazardFsa> {
-        self.fsas.get(class.index())
-    }
-
     /// Max operations of `class` one unit carries per period, or `None`
     /// for an unknown class.
     pub fn max_ops_per_unit(&self, class: OpClass) -> Option<u32> {
@@ -150,21 +141,6 @@ impl HazardAutomaton {
     /// layout [`or_forbidden_from`](Self::or_forbidden_from) expects).
     pub fn mask_words(&self) -> usize {
         bits::words_for(self.period)
-    }
-}
-
-impl ConflictOracle for HazardAutomaton {
-    fn period(&self) -> u32 {
-        self.period
-    }
-
-    fn same_unit_collides(&self, a: OpClass, b: OpClass, delta: u32) -> Option<bool> {
-        stats::count_matrix_queries(1);
-        self.matrix.collides(a, b, delta)
-    }
-
-    fn self_collides(&self, class: OpClass) -> Option<bool> {
-        self.matrix.self_collides(class)
     }
 }
 
@@ -232,8 +208,8 @@ fn pack_dfs(
 /// cannot pack onto its units, with per-unit capacity read from the
 /// memoized automaton instead of a fresh reservation-table search.
 /// Structurally identical to [`Machine::t_res`] (same refinement loop,
-/// same `+64` cap), so the two always agree — debug-asserted by
-/// callers and pinned by the equivalence proptest.
+/// same `+64` cap), so the two always agree — checked by the fuzzer
+/// (property 5b) and pinned by the equivalence proptest.
 ///
 /// # Errors
 ///
@@ -340,18 +316,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn oracle_trait_answers_match_matrix() {
-        let machine = Machine::example_pldi95();
-        let automaton = HazardAutomaton::build(&machine, 4);
-        let fp = OpClass::new(1);
-        let oracle: &dyn ConflictOracle = &automaton;
-        assert_eq!(oracle.period(), 4);
-        assert_eq!(oracle.same_unit_collides(fp, fp, 1), Some(true));
-        assert_eq!(oracle.same_unit_collides(fp, fp, 2), Some(false));
-        assert_eq!(oracle.self_collides(fp), Some(false));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Hazard automata: precompiled structural-conflict oracles.
+//! Hazard automata: precompiled structural-conflict tables for the CP
+//! engine's propagators.
 //!
-//! Every hot path in this workspace ultimately answers one question:
-//! *does an operation issued at residue `r mod T` collide with another
-//! issue on the same physical unit?* The reservation-table scan that
-//! answers it (`stages × offsets` per query, allocating per stage) is
-//! correct but slow, and it is re-run millions of times across a corpus.
-//!
-//! Classic pipeline theory (Kogge 1981 ch. 5; Bala & Rubin, MICRO '95;
-//! Proebsting & Fraser, POPL '94) compiles the table away:
+//! The CP search in `swp-cpsat` asks one question at every node: *does
+//! an operation issued at residue `r mod T` collide with another issue
+//! on the same physical unit?* Classic pipeline theory (Kogge 1981
+//! ch. 5; Bala & Rubin, MICRO '95; Proebsting & Fraser, POPL '94)
+//! compiles the reservation table away so that question becomes a bit
+//! test:
 //!
 //! * [`CollisionMatrix`] — per class, the **cyclic conflict vector**
 //!   `C ∈ {0,1}^T` with bit `d` set iff two issues separated by
@@ -15,35 +14,29 @@
 //!   single bit test. Cross-class entries are trivially `false` because
 //!   units are per-class — two operations of different classes never
 //!   share a physical unit.
-//! * [`HazardFsa`] — the cyclic hazard **finite-state automaton** whose
-//!   states are OR-ed rotations of `C` (the forbidden-residue mask of
-//!   one unit), interned and deduplicated so the transition function is
-//!   a table lookup.
-//! * [`HazardAutomaton`] — both of the above for one `(machine, T)`,
-//!   plus the per-unit packing capacity derived from the conflict
-//!   closure (used to tighten `ResMII` before any solver runs).
+//! * [`HazardAutomaton`] — the matrix for one `(machine, T)`, plus the
+//!   per-class forbidden-latency closure (the CP propagator's bulk
+//!   domain prune) and the per-unit packing capacity derived from it.
 //!   Construction is memoized per `(machine_fingerprint, T)` in a
 //!   process-wide registry ([`HazardAutomaton::for_machine`]), so a
 //!   corpus run builds each automaton once and every loop shares it.
 //!
-//! The oracle is wired into three consumers: the IMS modulo reservation
-//! table in `swp-heuristics` (slot probing becomes a bit test), the
-//! branch-and-bound pruner in `swp-milp` (a partial assignment dies the
-//! moment the automaton rejects a fixed class/offset pair), and the
-//! cycle-accurate checker in `swp-machine` (fast path with an exact-scan
-//! fallback, debug-asserted equivalent). [`stats`] counts automaton hits
-//! versus fallback scans for harness telemetry.
+//! The CP engine is the only consumer. The IMS slot probe, the
+//! branch-and-bound search and the independent checker all scan the
+//! reservation tables directly, so verification shares nothing with
+//! these tables. [`res_mii`] recomputes the packing bound from the
+//! automaton's capacities; the fuzzer checks it against
+//! `Machine::t_res`. [`stats`] counts registry hits and builds for
+//! harness telemetry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod automaton;
 mod bits;
-mod fsa;
 mod matrix;
 pub mod stats;
 
 pub use automaton::{res_mii, HazardAutomaton};
-pub use fsa::{HazardFsa, StateId, MAX_FSA_STATES};
 pub use matrix::CollisionMatrix;
 pub use stats::OracleCounters;

@@ -1,8 +1,9 @@
-//! Structural-conflict query engines head to head: the naive
-//! reservation-table cell scan, the pairwise modulo collision matrix,
-//! and the hazard-FSA table lookup, at `T ∈ {2, 4, 8, 16}`.
+//! Structural-conflict queries head to head: the naive reservation-table
+//! cell scan (what the IMS, branch-and-bound and checker pay) against the
+//! pairwise modulo collision matrix (what the CP propagators read), at
+//! `T ∈ {2, 4, 8, 16}`.
 //!
-//! All three answer the same question — "do two ops of this class on the
+//! Both answer the same question — "do two ops of this class on the
 //! same unit collide at issue distance `delta` (mod `T`)?" — so each
 //! bench sums the same verdict stream and the totals must agree.
 
@@ -37,8 +38,6 @@ fn bench_conflict_query(c: &mut Criterion) {
 
     for period in PERIODS {
         let automaton = HazardAutomaton::for_machine(&machine, period);
-        let fsa = automaton.fsa(fp).expect("FP FSA");
-        assert!(fsa.is_complete(), "FP FSA must build fully at T={period}");
 
         // Equivalence sanity before timing anything.
         for delta in 0..period {
@@ -66,19 +65,6 @@ fn bench_conflict_query(c: &mut Criterion) {
                 for q in 0..QUERIES {
                     let delta = std::hint::black_box(q % period);
                     hits += u32::from(automaton.matrix().collides(fp, fp, delta) == Some(true));
-                }
-                hits
-            });
-        });
-        c.bench_function(format!("hazard_fsa_t{period}"), |b| {
-            // One op placed at residue 0: `can_issue(state, delta)` is
-            // then exactly the pairwise collision verdict, negated.
-            let state = fsa.issue(swp_automata::HazardFsa::START, 0);
-            b.iter(|| {
-                let mut hits = 0u32;
-                for q in 0..QUERIES {
-                    let delta = std::hint::black_box(q % period);
-                    hits += u32::from(!fsa.can_issue(state, delta));
                 }
                 hits
             });

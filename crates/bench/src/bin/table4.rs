@@ -10,8 +10,6 @@
 //!   the bucket counts are identical at any worker count);
 //! * `--artifact PATH` — stream per-loop JSONL records to `PATH`;
 //! * `--resume` — load `PATH` first and skip already-solved loops;
-//! * `--conflict-oracle scan|automaton` — conflict-query engine
-//!   (decision-equivalent; `automaton` uses the precomputed hazard FSA);
 //! * `--engine ilp|cp|portfolio` — the exact engine settling each
 //!   period (decision-equivalent; `portfolio` races CP against the ILP);
 //! * `--cold` — disable the (default) warm-started `T`-sweep: no basis,
@@ -20,7 +18,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use swp_bench::{parse_conflict_oracle, parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
+use swp_bench::{parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
 use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
@@ -52,8 +50,7 @@ fn main() -> ExitCode {
         _ => (Machine::example_pldi95(), SuiteConfig::pldi95_default()),
     };
 
-    let parsed = (|| Ok::<_, String>((parse_conflict_oracle(&flags)?, parse_engine(&flags)?)))();
-    let (conflict_oracle, engine) = match parsed {
+    let engine = match parse_engine(&flags) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("table4: {e}");
@@ -63,7 +60,6 @@ fn main() -> ExitCode {
     let run = SuiteRunConfig {
         num_loops,
         time_limit_per_t: Some(Duration::from_secs(secs)),
-        conflict_oracle,
         engine,
         warm: !flags.has("cold"),
         ..Default::default()

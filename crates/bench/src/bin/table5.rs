@@ -10,12 +10,11 @@
 //!
 //! Run: `cargo run -p swp-bench --release --bin table5 -- [num_loops] [per-T seconds]`
 //! Harness flags: `--workers N`, `--artifact PATH`, `--resume`,
-//! `--conflict-oracle scan|automaton`, `--engine ilp|cp|portfolio`,
-//! `--cold` (as in `table4`).
+//! `--engine ilp|cp|portfolio`, `--cold` (as in `table4`).
 
 use std::process::ExitCode;
 use std::time::Duration;
-use swp_bench::{parse_conflict_oracle, parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
+use swp_bench::{parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
 use swp_core::SolvedBy;
 use swp_harness::{Flags, Harness, HarnessConfig, NullSink};
 use swp_loops::suite::{generate, SuiteConfig};
@@ -45,8 +44,7 @@ fn main() -> ExitCode {
     println!(
         "== Table 5: ILP solve effort ({num_loops} loops, pure ILP, {secs}s per period, {workers} workers) ==\n"
     );
-    let parsed = (|| Ok::<_, String>((parse_conflict_oracle(&flags)?, parse_engine(&flags)?)))();
-    let (conflict_oracle, engine) = match parsed {
+    let engine = match parse_engine(&flags) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("table5: {e}");
@@ -57,7 +55,6 @@ fn main() -> ExitCode {
         num_loops,
         time_limit_per_t: Some(Duration::from_secs(secs)),
         heuristic_incumbent: false,
-        conflict_oracle,
         engine,
         warm: !flags.has("cold"),
         ..Default::default()

@@ -5,19 +5,17 @@
 //! Each case is a minimized structure the fuzzer's shrinker produced
 //! while exercising the oracle properties; the assertions mirror what
 //! the differential runner checks — schedules validate, simulate at
-//! rate `1/T`, respect the lower bounds, and both conflict oracles
-//! agree on the proven optimum.
+//! rate `1/T`, respect the lower bounds, and both exact engines agree
+//! on the proven optimum.
 
-use swp_core::{
-    ConflictOracleMode, Optimality, RateOptimalScheduler, ScheduleResult, SchedulerConfig,
-};
+use swp_core::{Engine, Optimality, RateOptimalScheduler, ScheduleResult, SchedulerConfig};
 use swp_ddg::{Ddg, OpClass};
 use swp_machine::{simulate, FuType, Machine, ReservationTable, UnitPolicy};
 
-fn schedule(machine: &Machine, ddg: &Ddg, oracle: ConflictOracleMode) -> ScheduleResult {
+fn schedule(machine: &Machine, ddg: &Ddg, engine: Engine) -> ScheduleResult {
     let config = SchedulerConfig {
         time_limit_per_t: None,
-        conflict_oracle: oracle,
+        engine,
         ..Default::default()
     };
     RateOptimalScheduler::new(machine.clone(), config)
@@ -25,10 +23,10 @@ fn schedule(machine: &Machine, ddg: &Ddg, oracle: ConflictOracleMode) -> Schedul
         .expect("promoted cases schedule")
 }
 
-fn check_both_oracles(machine: &Machine, ddg: &Ddg) -> u32 {
-    let scan = schedule(machine, ddg, ConflictOracleMode::Scan);
-    let auto = schedule(machine, ddg, ConflictOracleMode::Automaton);
-    for r in [&scan, &auto] {
+fn check_both_engines(machine: &Machine, ddg: &Ddg) -> u32 {
+    let ilp = schedule(machine, ddg, Engine::Ilp);
+    let cp = schedule(machine, ddg, Engine::Cp);
+    for r in [&ilp, &cp] {
         let s = &r.schedule;
         let t = s.initiation_interval();
         assert!(t >= r.t_lb(), "period below the lower bound");
@@ -45,11 +43,11 @@ fn check_both_oracles(machine: &Machine, ddg: &Ddg) -> u32 {
         );
     }
     assert_eq!(
-        scan.schedule.initiation_interval(),
-        auto.schedule.initiation_interval(),
-        "conflict oracles disagree on the proven optimum"
+        ilp.schedule.initiation_interval(),
+        cp.schedule.initiation_interval(),
+        "exact engines disagree on the proven optimum"
     );
-    scan.schedule.initiation_interval()
+    ilp.schedule.initiation_interval()
 }
 
 /// Shrunk by the fuzzer from a fault-injection campaign (seed 11): a
@@ -72,7 +70,7 @@ fn promoted_three_node_recurrence() {
     g.add_edge(a, b, 0).expect("valid");
     g.add_edge(b, c, 0).expect("valid");
     g.add_edge(c, a, 2).expect("valid");
-    let t = check_both_oracles(&machine, &g);
+    let t = check_both_engines(&machine, &g);
     // ceil((1+4+4)/2) = 5 from the recurrence; 3 ops on 1 unit give 3.
     assert_eq!(t, 5);
 }
@@ -90,7 +88,7 @@ fn promoted_singleton() {
     .expect("valid machine");
     let mut g = Ddg::new();
     g.add_node("n0", OpClass::new(0), 1);
-    assert_eq!(check_both_oracles(&machine, &g), 1);
+    assert_eq!(check_both_engines(&machine, &g), 1);
 }
 
 /// Curated fuzz structure: an unclean pipeline revisiting stage 0 two
@@ -114,6 +112,6 @@ fn promoted_unclean_table_recurrence() {
     g.add_edge(a, b, 0).expect("valid");
     g.add_edge(b, c, 0).expect("valid");
     g.add_edge(c, a, 2).expect("valid");
-    let t = check_both_oracles(&machine, &g);
+    let t = check_both_engines(&machine, &g);
     assert!(t >= 5, "recurrence bound ceil(9/2) = 5, got {t}");
 }

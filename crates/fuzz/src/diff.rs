@@ -1,14 +1,14 @@
 //! The differential runner: one case, every engine, every oracle
 //! property.
 //!
-//! Each generated `(machine, ddg)` pair is scheduled under every
-//! engine × conflict-oracle configuration:
+//! Each generated `(machine, ddg)` pair is scheduled under every engine
+//! configuration:
 //!
-//! * the full driver (ILP + IMS incumbent) under `Scan` and `Automaton`;
-//! * the pure-ILP driver (Table 5 mode) under both oracles;
-//! * the CP backend (Table 5 mode) under both oracles;
-//! * the ILP-vs-CP portfolio racer under both oracles;
-//! * iterative modulo scheduling alone, under both oracles.
+//! * the full driver (ILP + IMS incumbent);
+//! * the pure-ILP driver (Table 5 mode);
+//! * the CP backend (Table 5 mode);
+//! * the ILP-vs-CP portfolio racer;
+//! * iterative modulo scheduling alone.
 //!
 //! and the results are cross-checked:
 //!
@@ -20,10 +20,9 @@
 //! 4. no configuration *refutes* (proves infeasible) a period another
 //!    configuration certified feasible;
 //! 5. accepted periods respect `max(T_dep, T_res)`, and the hazard-
-//!    automaton `res_mii` equals the exact `Machine::t_res`;
-//! 6. the IMS produces bit-identical schedules under both oracles (a
-//!    documented contract of `swp-heuristics`);
-//! 7. guaranteed-schedulable cases that run to completion (no budget
+//!    automaton `res_mii` (built from the capacities the CP engine
+//!    prunes with) equals the exact `Machine::t_res`;
+//! 6. guaranteed-schedulable cases that run to completion (no budget
 //!    trips) must schedule.
 //!
 //! Metamorphic relations (checked against the baseline configuration):
@@ -53,7 +52,6 @@ use swp_core::{
     ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy,
 };
 use swp_ddg::{Ddg, OpClass};
-use swp_harness::ConflictOracleMode;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
 use swp_machine::{
     simulate, BundleSpec, FuType, Machine, PipelinedSchedule, SlotGroup, UnitPolicy,
@@ -80,8 +78,6 @@ pub enum ViolationKind {
     /// Configurations disagree on `T_dep`/`T_res`, or the automaton
     /// `res_mii` disagrees with the exact `t_res`.
     BoundsMismatch,
-    /// IMS schedules differ between conflict oracles.
-    ImsDiverged,
     /// An engine returned an internal-invariant error
     /// (verification failure, mapping gap, solver breakdown).
     EngineError,
@@ -114,7 +110,6 @@ impl ViolationKind {
             ViolationKind::FalseRefutation => "false-refutation",
             ViolationKind::BoundViolated => "bound-violated",
             ViolationKind::BoundsMismatch => "bounds-mismatch",
-            ViolationKind::ImsDiverged => "ims-diverged",
             ViolationKind::EngineError => "engine-error",
             ViolationKind::Unschedulable => "unschedulable",
             ViolationKind::MetamorphicRelabel => "metamorphic-relabel",
@@ -136,7 +131,6 @@ impl ViolationKind {
             FalseRefutation,
             BoundViolated,
             BoundsMismatch,
-            ImsDiverged,
             EngineError,
             Unschedulable,
             MetamorphicRelabel,
@@ -244,45 +238,22 @@ impl CaseReport {
     }
 }
 
-/// The driver matrix: `(name, heuristic_incumbent, oracle, engine)`.
+/// The driver matrix: `(name, heuristic_incumbent, engine)`.
 /// Index 0 is the *baseline* every cross-check and metamorphic relation
 /// compares against (and the only slot faults are injected into). The
 /// CP and portfolio rows run without the IMS incumbent so the exact
-/// engines — not a heuristic certificate — settle every period.
-const SCHEDULER_CONFIGS: [(&str, bool, ConflictOracleMode, Engine); 8] = [
-    ("ilp+ims/scan", true, ConflictOracleMode::Scan, Engine::Ilp),
-    (
-        "ilp+ims/auto",
-        true,
-        ConflictOracleMode::Automaton,
-        Engine::Ilp,
-    ),
-    ("ilp/scan", false, ConflictOracleMode::Scan, Engine::Ilp),
-    (
-        "ilp/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Ilp,
-    ),
-    ("cp/scan", false, ConflictOracleMode::Scan, Engine::Cp),
-    ("cp/auto", false, ConflictOracleMode::Automaton, Engine::Cp),
-    (
-        "race/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Portfolio,
-    ),
-    (
-        "race/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Portfolio,
-    ),
+/// engines — not a heuristic certificate — settle every period. The
+/// `/scan` suffix names the reservation-table conflict checks every row
+/// uses; it keeps row names stable across campaign artifacts.
+const SCHEDULER_CONFIGS: [(&str, bool, Engine); 4] = [
+    ("ilp+ims/scan", true, Engine::Ilp),
+    ("ilp/scan", false, Engine::Ilp),
+    ("cp/scan", false, Engine::Cp),
+    ("race/scan", false, Engine::Portfolio),
 ];
 
 fn scheduler_config(
     heuristic_incumbent: bool,
-    oracle: ConflictOracleMode,
     engine: Engine,
     faults: FaultPlan,
     max_live: Option<u32>,
@@ -293,7 +264,6 @@ fn scheduler_config(
         time_limit_per_t: None,
         time_limit_total: None,
         heuristic_incumbent,
-        conflict_oracle: oracle,
         engine,
         faults,
         max_live,
@@ -436,10 +406,10 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     let t_dep = case.ddg.t_dep().unwrap_or(0);
     let t_lb = t_dep.max(t_res);
 
-    // Stage 1: the driver configurations (engine × oracle matrix).
+    // Stage 1: the driver configurations.
     let mut driver_outcomes: Vec<(usize, DriverOutcome)> = Vec::new();
     let mut outcomes: Vec<ConfigOutcome> = Vec::new();
-    for (i, (name, incumbent, oracle, engine)) in SCHEDULER_CONFIGS.iter().enumerate() {
+    for (i, (name, incumbent, engine)) in SCHEDULER_CONFIGS.iter().enumerate() {
         // The baseline (index 0) always runs: every cross-check and
         // metamorphic relation is anchored to it.
         if i != 0 && opts.engine_filter.is_some_and(|f| f != *engine) {
@@ -452,7 +422,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         };
         let outcome = run_driver(
             case,
-            scheduler_config(*incumbent, *oracle, *engine, faults, case.max_live),
+            scheduler_config(*incumbent, *engine, faults, case.max_live),
             opts.ticks_per_config,
         );
         let (period, proven, timed_out) = match &outcome {
@@ -592,7 +562,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         }
     }
 
-    // Property 7: guaranteed-schedulable cases schedule (when complete).
+    // Property 6: guaranteed-schedulable cases schedule (when complete).
     if case.guaranteed && !faulted {
         for (i, outcome) in &driver_outcomes {
             if let DriverOutcome::Failed(ScheduleError::NotFound { attempts, .. }) = outcome {
@@ -608,90 +578,70 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         }
     }
 
-    // Stage 2: iterative modulo scheduling alone, under both oracles.
-    let mut ims_schedules: Vec<Option<PipelinedSchedule>> = Vec::new();
-    for (name, automaton) in [("ims/scan", false), ("ims/auto", true)] {
-        let budget = Budget::with_tick_limit(opts.ticks_per_config);
-        let ims = IterativeModuloScheduler::new(case.machine.clone())
-            .with_automaton(automaton)
-            .with_max_live(case.max_live);
-        match ims.schedule_with(&case.ddg, &budget) {
-            Ok(hr) => {
-                let ii = hr.schedule.initiation_interval();
-                check_schedule(
-                    name,
-                    &hr.schedule,
-                    &case.ddg,
-                    &case.machine,
-                    case.max_live,
-                    opts.sim_iterations,
-                    &mut violations,
-                );
-                if ii < t_lb {
+    // Stage 2: iterative modulo scheduling alone.
+    let name = "ims/scan";
+    let budget = Budget::with_tick_limit(opts.ticks_per_config);
+    let ims = IterativeModuloScheduler::new(case.machine.clone()).with_max_live(case.max_live);
+    match ims.schedule_with(&case.ddg, &budget) {
+        Ok(hr) => {
+            let ii = hr.schedule.initiation_interval();
+            check_schedule(
+                name,
+                &hr.schedule,
+                &case.ddg,
+                &case.machine,
+                case.max_live,
+                opts.sim_iterations,
+                &mut violations,
+            );
+            if ii < t_lb {
+                violations.push(Violation {
+                    kind: ViolationKind::BoundViolated,
+                    config: name.to_string(),
+                    details: format!("IMS II={ii} below lower bound {t_lb}"),
+                });
+            }
+            if let Some(t_star) = proven_t {
+                if ii < t_star {
                     violations.push(Violation {
-                        kind: ViolationKind::BoundViolated,
+                        kind: ViolationKind::BelowProven,
                         config: name.to_string(),
-                        details: format!("IMS II={ii} below lower bound {t_lb}"),
+                        details: format!("IMS II={ii} beats proven optimum {t_star}"),
                     });
                 }
-                if let Some(t_star) = proven_t {
-                    if ii < t_star {
-                        violations.push(Violation {
-                            kind: ViolationKind::BelowProven,
-                            config: name.to_string(),
-                            details: format!("IMS II={ii} beats proven optimum {t_star}"),
-                        });
-                    }
-                }
-                outcomes.push(ConfigOutcome {
-                    config: name,
-                    period: Some(ii),
-                    proven: false,
-                    timed_out: false,
-                    summary: format!("II={ii}"),
-                });
-                ims_schedules.push(Some(hr.schedule));
             }
-            Err(e) => {
-                match &e {
-                    HeuristicError::NotFound { .. }
-                    | HeuristicError::BudgetExhausted
-                    | HeuristicError::Cancelled => {}
-                    other => violations.push(Violation {
-                        kind: ViolationKind::EngineError,
-                        config: name.to_string(),
-                        details: format!("IMS error: {other}"),
-                    }),
-                }
-                outcomes.push(ConfigOutcome {
-                    config: name,
-                    period: None,
-                    proven: false,
-                    timed_out: matches!(
-                        e,
-                        HeuristicError::BudgetExhausted | HeuristicError::Cancelled
-                    ),
-                    summary: format!("ims-{e:?}")
-                        .to_lowercase()
-                        .chars()
-                        .filter(|c| !c.is_whitespace())
-                        .collect(),
-                });
-                ims_schedules.push(None);
-            }
+            outcomes.push(ConfigOutcome {
+                config: name,
+                period: Some(ii),
+                proven: false,
+                timed_out: false,
+                summary: format!("II={ii}"),
+            });
         }
-    }
-    // Property 6: the two oracles yield bit-identical IMS schedules.
-    if let [Some(scan), Some(auto)] = &ims_schedules[..] {
-        if scan != auto {
-            violations.push(Violation {
-                kind: ViolationKind::ImsDiverged,
-                config: "ims".to_string(),
-                details: format!(
-                    "scan II={} vs automaton II={} (or placements differ)",
-                    scan.initiation_interval(),
-                    auto.initiation_interval()
+        Err(e) => {
+            match &e {
+                HeuristicError::NotFound { .. }
+                | HeuristicError::BudgetExhausted
+                | HeuristicError::Cancelled => {}
+                other => violations.push(Violation {
+                    kind: ViolationKind::EngineError,
+                    config: name.to_string(),
+                    details: format!("IMS error: {other}"),
+                }),
+            }
+            outcomes.push(ConfigOutcome {
+                config: name,
+                period: None,
+                proven: false,
+                timed_out: matches!(
+                    e,
+                    HeuristicError::BudgetExhausted | HeuristicError::Cancelled
                 ),
+                summary: format!("ims-{e:?}")
+                    .to_lowercase()
+                    .chars()
+                    .filter(|c| !c.is_whitespace())
+                    .collect(),
             });
         }
     }
@@ -747,13 +697,7 @@ fn conclusive_signature(outcome: &DriverOutcome) -> Option<(Option<u32>, bool)> 
 fn rerun_baseline(case: &FuzzCase, opts: &DiffOptions) -> DriverOutcome {
     run_driver(
         case,
-        scheduler_config(
-            true,
-            ConflictOracleMode::Scan,
-            Engine::Ilp,
-            FaultPlan::default(),
-            case.max_live,
-        ),
+        scheduler_config(true, Engine::Ilp, FaultPlan::default(), case.max_live),
         opts.ticks_per_config,
     )
 }
@@ -1030,14 +974,8 @@ mod tests {
             let names: Vec<&str> = report.outcomes.iter().map(|o| o.config).collect();
             assert_eq!(
                 names,
-                [
-                    "ilp+ims/scan",
-                    "race/scan",
-                    "race/auto",
-                    "ims/scan",
-                    "ims/auto"
-                ],
-                "filtered matrix should be baseline + portfolio rows + IMS stages"
+                ["ilp+ims/scan", "race/scan", "ims/scan"],
+                "filtered matrix should be baseline + portfolio row + IMS stage"
             );
             assert!(report.passed(), "{}: {:?}", case.name, report.violations);
         }

@@ -1,19 +1,19 @@
 //! Differential fuzzing and metamorphic testing for the scheduling
 //! engines.
 //!
-//! The workspace has three ways to answer "what is the best initiation
-//! interval for this loop on this machine, and what schedule achieves
-//! it?": the unified ILP (simplex + branch & bound), iterative modulo
-//! scheduling, and the automaton-accelerated variants of both. They
-//! must agree — on feasibility, on proven optimality, and on hazard-
-//! freedom of every schedule they emit. This crate industrializes that
-//! cross-check:
+//! The workspace has several ways to answer "what is the best
+//! initiation interval for this loop on this machine, and what schedule
+//! achieves it?": the unified ILP (simplex + branch & bound), the CP
+//! search, a portfolio race of the two, and iterative modulo
+//! scheduling. They must agree — on feasibility, on proven optimality,
+//! and on hazard-freedom of every schedule they emit. This crate
+//! industrializes that cross-check:
 //!
 //! * [`gen`] — seeded generators for random DDGs and random machines
 //!   (unclean pipelines, multi-stage collisions, non-pipelined units),
 //!   in guaranteed-schedulable and adversarial modes;
-//! * [`diff`] — the differential runner: every engine × conflict-oracle
-//!   configuration per case, with the oracle properties (checker +
+//! * [`diff`] — the differential runner: every engine configuration
+//!   per case, with the oracle properties (checker +
 //!   simulator acceptance, proven-`T` agreement, lower-bound respect,
 //!   no false refutations) and the metamorphic relations (relabeling
 //!   and unit-renaming invariance, latency-scaling monotonicity,

@@ -50,5 +50,4 @@ pub use cli::Flags;
 pub use record::{CacheKey, LoopRecord, RecordReuse, SuiteOutcome, SuiteRunConfig, SCHEMA_VERSION};
 pub use run::{Harness, HarnessConfig, HarnessError, RunReport};
 pub use sink::{JsonlSink, NullSink, RunSink, VecSink};
-pub use swp_core::ConflictOracleMode;
 pub use telemetry::RunSummary;

@@ -19,7 +19,7 @@
 
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
-use swp_core::{ConflictOracleMode, Engine, ReuseStats, SolvedBy};
+use swp_core::{Engine, ReuseStats, SolvedBy};
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
 
 /// Schema version stamped into every artifact line. v2 added the
@@ -47,15 +47,10 @@ pub struct SuiteRunConfig {
     /// Let iterative modulo scheduling certify feasible periods
     /// (rate-optimality is unaffected; see `SchedulerConfig`).
     pub heuristic_incumbent: bool,
-    /// Conflict-query engine: naive reservation-table scans or the
-    /// precomputed hazard automaton ([`ConflictOracleMode`]). The two
-    /// are decision-equivalent, so records fingerprint differently only
-    /// to keep A/B comparisons honest about which engine produced them.
-    pub conflict_oracle: ConflictOracleMode,
     /// Exact engine per candidate period: the unified ILP, the CP
     /// backend, or a portfolio race of both ([`Engine`]). All three are
-    /// decision-equivalent on proven outcomes; like the oracle, the
-    /// fingerprint still distinguishes them so A/B records never mix.
+    /// decision-equivalent on proven outcomes; the fingerprint still
+    /// distinguishes them so A/B records never mix.
     pub engine: Engine,
     /// Warm-start each loop's `T`-sweep: carry the simplex basis, the
     /// IMS schedule hint, and the CP no-good store from period `T` into
@@ -77,7 +72,6 @@ impl Default for SuiteRunConfig {
             per_loop_ticks: None,
             max_t_above_lb: 8,
             heuristic_incumbent: true,
-            conflict_oracle: ConflictOracleMode::default(),
             engine: Engine::default(),
             warm: true,
             max_live: None,
@@ -99,10 +93,6 @@ impl SuiteRunConfig {
         h.write_u64(self.per_loop_ticks.unwrap_or(u64::MAX));
         h.write_u64(u64::from(self.max_t_above_lb));
         h.write_u64(u64::from(self.heuristic_incumbent));
-        h.write_u64(match self.conflict_oracle {
-            ConflictOracleMode::Scan => 0,
-            ConflictOracleMode::Automaton => 1,
-        });
         h.write_u64(match self.engine {
             Engine::Ilp => 0,
             Engine::Cp => 1,
@@ -512,10 +502,6 @@ mod tests {
             },
             SuiteRunConfig {
                 heuristic_incumbent: false,
-                ..base.clone()
-            },
-            SuiteRunConfig {
-                conflict_oracle: ConflictOracleMode::Automaton,
                 ..base.clone()
             },
             SuiteRunConfig {

@@ -228,7 +228,6 @@ impl Harness {
                 time_limit_per_t: self.solve.time_limit_per_t,
                 max_t_above_lb: self.solve.max_t_above_lb,
                 heuristic_incumbent: self.solve.heuristic_incumbent,
-                conflict_oracle: self.solve.conflict_oracle,
                 engine: self.solve.engine,
                 warm_sweep: self.solve.warm,
                 max_live: self.solve.max_live,
@@ -433,7 +432,6 @@ mod tests {
             per_loop_ticks: None,
             max_t_above_lb: 8,
             heuristic_incumbent: true,
-            conflict_oracle: Default::default(),
             engine: Default::default(),
             warm: true,
             max_live: None,

@@ -74,10 +74,9 @@ pub struct RunSummary {
     /// Solve-time histogram: `(label, count)` per bucket, including the
     /// final overflow bucket.
     pub histogram: Vec<(&'static str, usize)>,
-    /// Hazard-automaton oracle activity during this run (all zeros under
-    /// the scan oracle): FSA/matrix fast-path queries vs. exact fallback
-    /// scans, and automaton memo-registry hits vs. builds. Populated by
-    /// the runner from a process-global counter delta, not from records.
+    /// Hazard-automaton registry activity during this run: memo hits
+    /// vs. builds (the CP engine's propagation tables). Populated by the
+    /// runner from a process-global counter delta, not from records.
     pub oracle: OracleCounters,
 }
 
@@ -220,12 +219,8 @@ impl RunSummary {
         if self.oracle.any() {
             let _ = writeln!(
                 out,
-                "oracle: {} FSA + {} matrix queries, {} fallback scans | automata: {} memo hits / {} builds",
-                self.oracle.fsa_queries,
-                self.oracle.matrix_queries,
-                self.oracle.fallback_scans,
-                self.oracle.memo_hits,
-                self.oracle.memo_builds
+                "automata: {} memo hits / {} builds",
+                self.oracle.memo_hits, self.oracle.memo_builds
             );
         }
         let max = self.histogram.iter().map(|&(_, c)| c).max().unwrap_or(0);

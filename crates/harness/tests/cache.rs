@@ -24,7 +24,6 @@ fn solve_cfg() -> SuiteRunConfig {
         per_loop_ticks: Some(50_000),
         max_t_above_lb: 8,
         heuristic_incumbent: true,
-        conflict_oracle: Default::default(),
         engine: Default::default(),
         warm: true,
         max_live: None,

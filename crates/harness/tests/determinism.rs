@@ -10,9 +10,8 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use swp_harness::{
-    ConflictOracleMode, Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig,
-};
+use swp_core::Engine;
+use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
 
@@ -31,22 +30,17 @@ fn deterministic_solve() -> SuiteRunConfig {
         per_loop_ticks: Some(50_000),
         max_t_above_lb: 8,
         heuristic_incumbent: true,
-        conflict_oracle: ConflictOracleMode::Scan,
         engine: Default::default(),
         warm: true,
         max_live: None,
     }
 }
 
-fn run_with_oracle(
-    loops: &[GeneratedLoop],
-    workers: usize,
-    oracle: ConflictOracleMode,
-) -> Vec<LoopRecord> {
+fn run_with_engine(loops: &[GeneratedLoop], workers: usize, engine: Engine) -> Vec<LoopRecord> {
     let harness = Harness::new(
         Machine::example_pldi95(),
         SuiteRunConfig {
-            conflict_oracle: oracle,
+            engine,
             ..deterministic_solve()
         },
         HarnessConfig {
@@ -63,7 +57,7 @@ fn run_with_oracle(
 }
 
 fn run_with_workers(loops: &[GeneratedLoop], workers: usize) -> Vec<LoopRecord> {
-    run_with_oracle(loops, workers, ConflictOracleMode::Scan)
+    run_with_engine(loops, workers, Engine::Ilp)
 }
 
 /// Table-4 bucketing: slack above the counting `T_lb` → (count, nodes).
@@ -109,35 +103,35 @@ fn worker_count_does_not_change_the_records() {
 }
 
 #[test]
-fn automaton_oracle_is_deterministic_and_outcome_identical_to_scan() {
-    // The hazard-automaton oracle must (a) keep the worker-count
-    // bit-identity guarantee, and (b) produce records whose outcomes
-    // match the scan oracle's line for line (only the config
-    // fingerprint, which names the oracle, may differ).
+fn cp_engine_is_deterministic_and_period_identical_to_ilp() {
+    // The CP engine, the only reader of the hazard-automaton tables,
+    // must (a) keep the worker-count bit-identity guarantee, and (b)
+    // agree with the ILP wherever both proved their period optimal.
     let loops = corpus(64);
-    let scan = run_with_oracle(&loops, 1, ConflictOracleMode::Scan);
-    let seq = run_with_oracle(&loops, 1, ConflictOracleMode::Automaton);
+    let ilp = run_with_workers(&loops, 1);
+    let seq = run_with_engine(&loops, 1, Engine::Cp);
     assert_eq!(seq.len(), 64);
 
     let lines = |v: &[LoopRecord]| v.iter().map(LoopRecord::to_json_line).collect::<Vec<_>>();
     let seq_lines = lines(&seq);
     for workers in [4usize, 8] {
-        let par = run_with_oracle(&loops, workers, ConflictOracleMode::Automaton);
+        let par = run_with_engine(&loops, workers, Engine::Cp);
         assert_eq!(
             lines(&par),
             seq_lines,
-            "{workers}-worker automaton run differs from sequential"
+            "{workers}-worker CP run differs from sequential"
         );
     }
 
-    for (s, a) in scan.iter().zip(&seq) {
-        assert_eq!(s.outcome, a.outcome, "loop {}", s.name);
-        assert_eq!(s.period, a.period, "loop {}", s.name);
-        assert_eq!(s.t_lb, a.t_lb, "loop {}", s.name);
-        assert_eq!(s.proven, a.proven, "loop {}", s.name);
-        assert_eq!(s.ticks, a.ticks, "loop {}", s.name);
+    let mut both_proven = 0;
+    for (i, c) in ilp.iter().zip(&seq) {
+        assert_eq!(i.t_lb, c.t_lb, "loop {}", i.name);
+        if i.proven && c.proven {
+            assert_eq!(i.period, c.period, "loop {}", i.name);
+            both_proven += 1;
+        }
     }
-    assert_eq!(table4_buckets(&scan), table4_buckets(&seq));
+    assert!(both_proven > 0, "no loop was proven by both engines");
 }
 
 #[test]

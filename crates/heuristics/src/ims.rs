@@ -101,8 +101,6 @@ pub struct IterativeModuloScheduler {
     budget_ratio: u32,
     /// Give up after `MII + ii_span`.
     ii_span: u32,
-    /// Probe MRT slots through the memoized hazard automaton.
-    use_automaton: bool,
     /// Register-pressure cap audited on every produced schedule.
     max_live: Option<u32>,
 }
@@ -115,7 +113,6 @@ impl IterativeModuloScheduler {
             machine,
             budget_ratio: 6,
             ii_span: 32,
-            use_automaton: false,
             max_live: None,
         }
     }
@@ -129,17 +126,6 @@ impl IterativeModuloScheduler {
     /// Overrides the II search span.
     pub fn with_ii_span(mut self, span: u32) -> Self {
         self.ii_span = span;
-        self
-    }
-
-    /// Routes MRT slot probes through the memoized [`HazardAutomaton`]
-    /// of `(machine, II)` and takes `ResMII` from its conflict closure.
-    /// Schedules are bit-identical either way (debug-asserted in the
-    /// MRT); only the probe cost changes.
-    ///
-    /// [`HazardAutomaton`]: swp_automata::HazardAutomaton
-    pub fn with_automaton(mut self, enabled: bool) -> Self {
-        self.use_automaton = enabled;
         self
     }
 
@@ -181,7 +167,6 @@ impl IterativeModuloScheduler {
             self.ii_span,
             Some(self.budget_ratio),
             budget,
-            self.use_automaton,
             self.max_live,
         )
     }
@@ -220,7 +205,6 @@ impl IterativeModuloScheduler {
             Some(self.budget_ratio),
             &mut evictions,
             budget,
-            self.use_automaton,
             self.max_live,
             &mut scratch,
         )
@@ -267,7 +251,6 @@ impl IterativeModuloScheduler {
 pub struct ListModuloScheduler {
     machine: Machine,
     ii_span: u32,
-    use_automaton: bool,
 }
 
 impl ListModuloScheduler {
@@ -276,15 +259,7 @@ impl ListModuloScheduler {
         ListModuloScheduler {
             machine,
             ii_span: 32,
-            use_automaton: false,
         }
-    }
-
-    /// Routes MRT slot probes through the memoized hazard automaton;
-    /// see [`IterativeModuloScheduler::with_automaton`].
-    pub fn with_automaton(mut self, enabled: bool) -> Self {
-        self.use_automaton = enabled;
-        self
     }
 
     /// Schedules `ddg` without backtracking.
@@ -306,15 +281,7 @@ impl ListModuloScheduler {
         ddg: &Ddg,
         budget: &Budget,
     ) -> Result<HeuristicResult, HeuristicError> {
-        run(
-            &self.machine,
-            ddg,
-            self.ii_span,
-            None,
-            budget,
-            self.use_automaton,
-            None,
-        )
+        run(&self.machine, ddg, self.ii_span, None, budget, None)
     }
 }
 
@@ -369,7 +336,6 @@ fn run(
     ii_span: u32,
     budget_ratio: Option<u32>,
     budget: &Budget,
-    use_automaton: bool,
     max_live: Option<u32>,
 ) -> Result<HeuristicResult, HeuristicError> {
     let t_dep = ddg.t_dep().ok_or(HeuristicError::NoFinitePeriod)?;
@@ -379,15 +345,7 @@ fn run(
         // built Machine; fold them into the generic no-period error.
         _ => HeuristicError::NoFinitePeriod,
     };
-    let t_res = if use_automaton {
-        // The automaton's ResMII mirrors `Machine::t_res` exactly (same
-        // refinement loop over the memoized per-unit capacities).
-        let r = swp_automata::res_mii(machine, ddg).map_err(map_err)?;
-        debug_assert_eq!(Ok(r), machine.t_res(ddg), "automaton ResMII drifted");
-        r
-    } else {
-        machine.t_res(ddg).map_err(map_err)?
-    };
+    let t_res = machine.t_res(ddg).map_err(map_err)?;
     let mii = t_dep.max(t_res);
     let mut tried = Vec::new();
     let mut evictions = 0u64;
@@ -402,7 +360,6 @@ fn run(
             budget_ratio,
             &mut evictions,
             budget,
-            use_automaton,
             max_live,
             &mut scratch,
         )? {
@@ -428,7 +385,6 @@ fn try_ii(
     budget_ratio: Option<u32>,
     evictions: &mut u64,
     budget: &Budget,
-    use_automaton: bool,
     max_live: Option<u32>,
     scratch: &mut ImsScratch,
 ) -> Result<Option<PipelinedSchedule>, Exhaustion> {
@@ -465,12 +421,7 @@ fn try_ii(
     order.extend(0..n);
     order.sort_by_key(|&i| std::cmp::Reverse(h[i]));
 
-    let mut mrt = if use_automaton {
-        let automaton = swp_automata::HazardAutomaton::for_machine(machine, ii);
-        ModuloReservationTable::with_automaton(machine, ii, automaton)
-    } else {
-        ModuloReservationTable::new(machine, ii)
-    };
+    let mut mrt = ModuloReservationTable::new(machine, ii);
     time.clear();
     time.resize(n, None);
     unit.clear();
@@ -727,41 +678,6 @@ mod tests {
             .schedule(&g)
             .expect("empty ok");
         assert_eq!(res.schedule.num_ops(), 0);
-    }
-
-    #[test]
-    fn automaton_probing_yields_identical_schedules() {
-        // The automaton accelerates probes but must not change a single
-        // decision: both runs produce the same schedule, tried list and
-        // eviction count, on clean, hazard and non-pipelined machines.
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            let g = fp_loop();
-            let plain = IterativeModuloScheduler::new(machine.clone())
-                .schedule(&g)
-                .expect("plain");
-            let fast = IterativeModuloScheduler::new(machine.clone())
-                .with_automaton(true)
-                .schedule(&g)
-                .expect("automaton");
-            assert_eq!(plain.schedule, fast.schedule);
-            assert_eq!(plain.mii, fast.mii);
-            assert_eq!(plain.tried, fast.tried);
-            assert_eq!(plain.evictions, fast.evictions);
-
-            let plain_list = ListModuloScheduler::new(machine.clone())
-                .schedule(&g)
-                .expect("plain list");
-            let fast_list = ListModuloScheduler::new(machine)
-                .with_automaton(true)
-                .schedule(&g)
-                .expect("automaton list");
-            assert_eq!(plain_list.schedule, fast_list.schedule);
-        }
     }
 
     #[test]

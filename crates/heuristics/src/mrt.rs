@@ -13,8 +13,6 @@
 //! residue, instead of a stage×offset scan. The proptests check every
 //! probe answer against the naive fixed-assignment checker.
 
-use std::sync::Arc;
-use swp_automata::{stats, HazardAutomaton, HazardFsa, StateId};
 use swp_ddg::OpClass;
 use swp_machine::{Machine, ReservationTable};
 
@@ -24,8 +22,6 @@ pub struct ModuloReservationTable {
     period: u32,
     /// Cell arenas, one per machine class.
     classes: Vec<ClassArena>,
-    /// Optional hazard-automaton acceleration, shadowing the cells.
-    fast: Option<FastState>,
     /// Issue-bundle counters, present when the machine declares bundle
     /// limits.
     bundle: Option<BundleState>,
@@ -124,28 +120,6 @@ impl ClassArena {
     }
 }
 
-/// The automaton-side mirror of the MRT: one FSA state (or residue list)
-/// per physical unit. The cell store stays authoritative — it still
-/// answers *which op* occupies a cell (for eviction) — while slot
-/// probing goes through the automaton.
-#[derive(Debug, Clone)]
-struct FastState {
-    automaton: Arc<HazardAutomaton>,
-    /// `units[class][fu]`.
-    units: Vec<Vec<UnitFast>>,
-}
-
-#[derive(Debug, Clone)]
-struct UnitFast {
-    /// Interned FSA state — meaningful while the class FSA is complete.
-    state: StateId,
-    /// Issue residues currently on this unit, for two purposes: replaying
-    /// the FSA state after a removal (OR-states are order-independent),
-    /// and the pairwise collision-matrix probe when the FSA hit its
-    /// state cap.
-    residues: Vec<u32>,
-}
-
 const NONE: usize = usize::MAX;
 
 impl ModuloReservationTable {
@@ -163,56 +137,13 @@ impl ModuloReservationTable {
                 .iter()
                 .map(|t| ClassArena::new(&t.reservation, t.count, period))
                 .collect(),
-            fast: None,
             bundle: BundleState::new(machine, period),
         }
-    }
-
-    /// An empty MRT accelerated by a precompiled [`HazardAutomaton`]:
-    /// slot probes become one FSA bit test per unit instead of a
-    /// stage×offset cell scan. Decisions are bit-identical to the plain
-    /// MRT (the forbidden-residue mask of a unit equals "some needed
-    /// cell is taken" — debug-asserted on every probe), so schedules do
-    /// not change, only the time to find them. An automaton compiled
-    /// for a different period is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_automaton(machine: &Machine, period: u32, automaton: Arc<HazardAutomaton>) -> Self {
-        let mut mrt = Self::new(machine, period);
-        debug_assert_eq!(
-            automaton.period(),
-            period,
-            "automaton compiled for a different period"
-        );
-        if automaton.period() == period {
-            let units = machine
-                .types()
-                .iter()
-                .map(|t| {
-                    vec![
-                        UnitFast {
-                            state: HazardFsa::START,
-                            residues: Vec::new(),
-                        };
-                        t.count as usize
-                    ]
-                })
-                .collect();
-            mrt.fast = Some(FastState { automaton, units });
-        }
-        mrt
     }
 
     /// The period this table wraps at.
     pub fn period(&self) -> u32 {
         self.period
-    }
-
-    /// Whether probes go through a hazard automaton.
-    pub fn uses_automaton(&self) -> bool {
-        self.fast.is_some()
     }
 
     /// Finds a unit of `class` whose cells are all free for an operation
@@ -226,26 +157,7 @@ impl ModuloReservationTable {
                 return None;
             }
         }
-        let Some(fast) = &self.fast else {
-            return (0..fu_type.count).find(|&fu| self.cells_free(class, fu, time));
-        };
-        let r = time % self.period;
-        (0..fu_type.count).find(|&fu| match self.unit_free_fast(fast, class, fu, r) {
-            Some(free) => {
-                // The fast path refuses self-colliding classes outright
-                // (the cell scan would accept and then double-claim);
-                // everywhere else the two predicates must agree.
-                debug_assert!(
-                    fast.automaton
-                        .fsa(class)
-                        .is_some_and(HazardFsa::self_collides)
-                        || free == self.cells_free(class, fu, time),
-                    "automaton probe disagrees with cell scan"
-                );
-                free
-            }
-            None => self.cells_free(class, fu, time),
-        })
+        (0..fu_type.count).find(|&fu| self.cells_free(class, fu, time))
     }
 
     /// The cell probe: every cell the reservation table needs is free.
@@ -254,29 +166,6 @@ impl ModuloReservationTable {
         let arena = &self.classes[class.index()];
         let mask = &arena.masks[(time % self.period) as usize];
         mask.iter().zip(arena.unit_occ(fu)).all(|(m, o)| m & o == 0)
-    }
-
-    /// The automaton probe: residue `r` is not forbidden on this unit.
-    /// `None` when the automaton does not know the class (caller falls
-    /// back to the cell scan).
-    fn unit_free_fast(&self, fast: &FastState, class: OpClass, fu: u32, r: u32) -> Option<bool> {
-        let fsa = fast.automaton.fsa(class)?;
-        if fsa.self_collides() {
-            return Some(false);
-        }
-        let unit = fast.units.get(class.index())?.get(fu as usize)?;
-        if fsa.is_complete() {
-            stats::count_fsa_queries(1);
-            Some(fsa.can_issue(unit.state, r))
-        } else {
-            // State-capped FSA: probe pairwise through the collision
-            // matrix (still allocation-free, one bit test per placed op).
-            stats::count_matrix_queries(unit.residues.len() as u64);
-            let matrix = fast.automaton.matrix();
-            Some(unit.residues.iter().all(|&q| {
-                matrix.collides(class, class, (r + self.period - q) % self.period) == Some(false)
-            }))
-        }
     }
 
     /// Claims the cells of `op` (an arbitrary caller-chosen tag) issued
@@ -300,16 +189,6 @@ impl ModuloReservationTable {
         let wbase = fu as usize * arena.words;
         for (w, m) in arena.masks[residue].iter().enumerate() {
             arena.occ[wbase + w] |= m;
-        }
-        if let Some(fast) = &mut self.fast {
-            let r = time % period;
-            if let Some(fsa) = fast.automaton.fsa(class) {
-                let unit = &mut fast.units[class.index()][fu as usize];
-                unit.residues.push(r);
-                if fsa.is_complete() {
-                    unit.state = fsa.issue(unit.state, r);
-                }
-            }
         }
         if let Some(b) = &mut self.bundle {
             let r = (time % period) as usize;
@@ -342,24 +221,6 @@ impl ModuloReservationTable {
         let wbase = fu as usize * arena.words;
         for (w, m) in arena.masks[residue].iter().enumerate() {
             arena.occ[wbase + w] &= !m;
-        }
-        if let Some(fast) = &mut self.fast {
-            let r = time % period;
-            if let Some(fsa) = fast.automaton.fsa(class) {
-                let unit = &mut fast.units[class.index()][fu as usize];
-                if let Some(pos) = unit.residues.iter().position(|&q| q == r) {
-                    unit.residues.swap_remove(pos);
-                }
-                if fsa.is_complete() {
-                    // OR-ed masks are order-independent, so replaying the
-                    // surviving residues from the start state lands on
-                    // exactly the mask of the remaining occupancy.
-                    unit.state = unit
-                        .residues
-                        .iter()
-                        .fold(HazardFsa::START, |s, &q| fsa.issue(s, q));
-                }
-            }
         }
         if let Some(b) = &mut self.bundle {
             let r = (time % period) as usize;
@@ -442,7 +303,6 @@ impl ModuloReservationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swp_automata::HazardAutomaton;
     use swp_machine::Machine;
 
     const FP: OpClass = OpClass::new(1);
@@ -488,71 +348,6 @@ mod tests {
         // lat-2 non-pipelined at offset 3 wraps into residues {3, 0}.
         mrt.place(&m, FP, 0, 3, 9);
         assert_eq!(mrt.conflicting_ops(&m, FP, 0, 0), vec![9]);
-    }
-
-    /// Replays a probe/place/remove trace on a plain MRT and an
-    /// automaton-backed one; every probe must answer identically.
-    #[test]
-    fn automaton_mrt_matches_plain_mrt_decisions() {
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            for period in 2u32..=9 {
-                let automaton = HazardAutomaton::for_machine(&machine, period);
-                let mut plain = ModuloReservationTable::new(&machine, period);
-                let mut fast = ModuloReservationTable::with_automaton(&machine, period, automaton);
-                assert!(fast.uses_automaton());
-                let mut placed: Vec<(OpClass, u32, u32, usize)> = Vec::new();
-                let mut op = 0usize;
-                for round in 0..3u32 {
-                    for c in 0..machine.num_classes() {
-                        let class = OpClass::new(c);
-                        if !machine.types()[c].reservation.modulo_feasible(period) {
-                            continue;
-                        }
-                        for time in 0..period + 2 {
-                            let a = plain.find_free_unit(&machine, class, time);
-                            let b = fast.find_free_unit(&machine, class, time);
-                            assert_eq!(a, b, "T={period} class={c} t={time}");
-                            if let (Some(fu), true) = (a, round != 1) {
-                                plain.place(&machine, class, fu, time, op);
-                                fast.place(&machine, class, fu, time, op);
-                                placed.push((class, fu, time, op));
-                                op += 1;
-                            }
-                        }
-                    }
-                    // Free every other op and keep probing: exercises the
-                    // replay-on-remove path of the FSA mirror.
-                    let mut keep = Vec::new();
-                    for (k, &(class, fu, time, op)) in placed.iter().enumerate() {
-                        if k % 2 == 0 {
-                            plain.remove(&machine, class, fu, time, op);
-                            fast.remove(&machine, class, fu, time, op);
-                        } else {
-                            keep.push((class, fu, time, op));
-                        }
-                    }
-                    placed = keep;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn automaton_probe_counts_telemetry() {
-        // Hold the process-wide telemetry reset guard instead of doing
-        // snapshot/delta arithmetic by hand (swp-automata satellite).
-        let _guard = swp_automata::stats::reset_for_test();
-        let machine = Machine::example_pldi95();
-        let automaton = HazardAutomaton::for_machine(&machine, 4);
-        let mrt = ModuloReservationTable::with_automaton(&machine, 4, automaton);
-        let _ = mrt.find_free_unit(&machine, FP, 0);
-        let after = swp_automata::stats::snapshot();
-        assert!(after.fsa_queries + after.matrix_queries >= 1);
     }
 
     #[test]

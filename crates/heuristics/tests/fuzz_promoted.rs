@@ -3,10 +3,9 @@
 //! a dependency cycle.
 //!
 //! The property under guard is the one the differential runner checks
-//! on every case: IMS produces **bit-identical** schedules whether MRT
-//! probes go through reservation-table scans or the hazard automaton,
-//! and a positive `schedule_at` answer is a real feasibility
-//! certificate (it validates and simulates).
+//! on every case: a schedule IMS returns, and every positive
+//! `schedule_at` answer, is a real feasibility certificate (it
+//! validates and simulates).
 
 use swp_ddg::{Ddg, OpClass};
 use swp_heuristics::IterativeModuloScheduler;
@@ -50,25 +49,17 @@ fn unclean_machine() -> Machine {
 }
 
 #[test]
-fn promoted_cases_schedule_identically_under_both_oracles() {
+fn promoted_cases_schedule_and_validate() {
     for (machine, ddg) in [
         (clean_machine(), three_node_recurrence()),
         (unclean_machine(), three_node_recurrence()),
     ] {
-        let scan = IterativeModuloScheduler::new(machine.clone())
+        let s = IterativeModuloScheduler::new(machine.clone())
             .schedule(&ddg)
-            .expect("promoted case schedules");
-        let auto = IterativeModuloScheduler::new(machine.clone())
-            .with_automaton(true)
-            .schedule(&ddg)
-            .expect("promoted case schedules");
-        assert_eq!(
-            scan.schedule, auto.schedule,
-            "IMS schedules must be bit-identical under both conflict oracles"
-        );
-        scan.schedule
-            .validate(&ddg, &machine)
-            .expect("schedule validates");
+            .expect("promoted case schedules")
+            .schedule;
+        s.validate(&ddg, &machine).expect("schedule validates");
+        simulate(&machine, &ddg, &s, 4, UnitPolicy::Fixed).expect("schedule simulates");
     }
 }
 

@@ -32,8 +32,8 @@ mod schedule;
 pub mod sim;
 
 pub use checker::{
-    check_capacity_only, check_fixed_assignment, check_fixed_assignment_flat,
-    check_fixed_assignment_with, ConflictError, ConflictOracle, PlacedOp,
+    check_capacity_only, check_fixed_assignment, check_fixed_assignment_flat, ConflictError,
+    PlacedOp,
 };
 pub use collision::CollisionInfo;
 pub use machine::{BundleSpec, FuType, Machine, MachineError, SlotGroup};

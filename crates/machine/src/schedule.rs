@@ -14,10 +14,7 @@
 //! reproduces exactly this factoring; Figure 3 of the paper is
 //! regenerated from it.
 
-use crate::checker::{
-    check_capacity_only, check_fixed_assignment_flat, check_fixed_assignment_with, ConflictError,
-    ConflictOracle, PlacedOp,
-};
+use crate::checker::{check_capacity_only, check_fixed_assignment_flat, ConflictError, PlacedOp};
 use crate::machine::Machine;
 use std::fmt;
 use swp_ddg::{Ddg, NodeId};
@@ -220,24 +217,6 @@ impl PipelinedSchedule {
     ///
     /// The first [`ValidationError`] found.
     pub fn validate(&self, ddg: &Ddg, machine: &Machine) -> Result<(), ValidationError> {
-        self.validate_with(ddg, machine, None)
-    }
-
-    /// [`PipelinedSchedule::validate`] with an optional precompiled
-    /// [`ConflictOracle`] accelerating the mapped-conflict check (the
-    /// oracle is ignored for unmapped schedules and for periods it was
-    /// not compiled for). Results are byte-identical to `validate`; see
-    /// [`crate::checker::check_fixed_assignment_with`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`ValidationError`] found.
-    pub fn validate_with(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        oracle: Option<&dyn ConflictOracle>,
-    ) -> Result<(), ValidationError> {
         if self.start_times.len() != ddg.num_nodes() {
             return Err(ValidationError::WrongArity {
                 schedule: self.start_times.len(),
@@ -260,10 +239,7 @@ impl PipelinedSchedule {
         }
         let ops = self.placed_ops(ddg);
         if self.is_mapped() {
-            match oracle {
-                Some(_) => check_fixed_assignment_with(machine, self.period, &ops, oracle)?,
-                None => check_fixed_assignment_flat(machine, self.period, &ops)?,
-            }
+            check_fixed_assignment_flat(machine, self.period, &ops)?;
         } else {
             check_capacity_only(machine, self.period, &ops)?;
         }

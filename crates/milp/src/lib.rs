@@ -45,7 +45,7 @@ mod lpwrite;
 pub mod model;
 pub mod simplex;
 
-pub use branch::{BranchBound, MipSolution, NodePruner, SearchStats, SolveLimits, StopReason};
+pub use branch::{BranchBound, MipSolution, SearchStats, SolveLimits, StopReason};
 pub use budget::{Budget, CancelToken, Exhaustion};
 pub use model::{ConstrId, LinExpr, Model, Sense, VarId, VarKind};
 pub use simplex::{LpBasis, LpOutcome, LpSolution, PivotLayout, WarmLpResult};

@@ -41,6 +41,13 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use swp_milp::CancelToken;
 
+/// Largest HTTP request body the daemon reads. A request carries one
+/// problem as regression-file text, a few KiB even for the largest
+/// corpus loops; the cap bounds what a client's `Content-Length` can
+/// make the daemon allocate, since a failed allocation aborts the
+/// process where `catch_unwind` cannot see it.
+const MAX_HTTP_BODY_BYTES: usize = 1 << 20;
+
 /// Factory for running daemons.
 #[derive(Debug)]
 pub struct Daemon;
@@ -388,6 +395,20 @@ fn handle_http(
             content_length = v.parse().unwrap_or(0);
         }
     }
+    if content_length > MAX_HTTP_BODY_BYTES {
+        shared.stats.count_request();
+        let r = Reply::error(
+            "",
+            ReplyStatus::BadRequest,
+            format!(
+                "request body of {content_length} bytes exceeds the \
+                 {MAX_HTTP_BODY_BYTES}-byte limit"
+            ),
+        );
+        shared.stats.count_reply(r.status);
+        write_http_reply(stream, &r);
+        return;
+    }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
         return;
@@ -446,7 +467,11 @@ fn handle_http(
             r
         }
     };
+    write_http_reply(stream, &reply);
+}
 
+/// Writes `reply` as a one-shot `Connection: close` HTTP response.
+fn write_http_reply(mut stream: TcpStream, reply: &Reply) {
     let body = reply.to_json_line();
     let code = reply.status.http_code();
     let reason = match code {
@@ -460,7 +485,6 @@ fn handle_http(
         "HTTP/1.1 {code} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}\n",
         body.len() + 1
     );
-    let mut stream = stream;
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }

@@ -71,7 +71,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     // SuiteRunConfig::fingerprint contract).
     let max_t = req.max_t.unwrap_or(8);
     let heuristic = req.heuristic.unwrap_or(true);
-    let oracle = req.oracle.unwrap_or_default();
     let engine = req.engine.unwrap_or_default();
     let cache_cfg = SuiteRunConfig {
         num_loops: 1,
@@ -79,7 +78,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
         per_loop_ticks: None,
         max_t_above_lb: max_t,
         heuristic_incumbent: heuristic,
-        conflict_oracle: oracle,
         engine,
         // The solve below runs under the scheduler's default
         // warm-sweep mode; fingerprint accordingly so daemon records
@@ -144,7 +142,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
             time_limit_total: None,
             max_t_above_lb: max_t,
             heuristic_incumbent: heuristic,
-            conflict_oracle: oracle,
             engine,
             faults,
             ..SchedulerConfig::default()

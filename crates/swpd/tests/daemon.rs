@@ -64,6 +64,30 @@ fn default_config() -> DaemonConfig {
     }
 }
 
+/// One HTTP/1.1 exchange with the daemon: `(status code, body)`.
+fn http(addr: &str, request: &str) -> (u32, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(request.as_bytes()).expect("write");
+    stream.flush().expect("flush");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read");
+    let code: u32 = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .expect("status code");
+    let body = response
+        .split("\r\n\r\n")
+        .nth(1)
+        .unwrap_or("")
+        .trim()
+        .to_string();
+    (code, body)
+}
+
 #[test]
 fn ping_stats_and_counters() {
     let (handle, addr) = start(default_config());
@@ -216,33 +240,10 @@ fn bad_requests_are_refused_not_fatal() {
 fn http_front_door() {
     let (handle, addr) = start(default_config());
 
-    let http = |request: String| -> (u32, String) {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        stream.write_all(request.as_bytes()).expect("write");
-        stream.flush().expect("flush");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        let code: u32 = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .expect("status code");
-        let body = response
-            .split("\r\n\r\n")
-            .nth(1)
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        (code, body)
-    };
-
-    let (code, _) = http("GET /health HTTP/1.1\r\nhost: x\r\n\r\n".to_string());
+    let (code, _) = http(&addr, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
     assert_eq!(code, 200);
 
-    let (code, body) = http("GET /stats HTTP/1.1\r\nhost: x\r\n\r\n".to_string());
+    let (code, body) = http(&addr, "GET /stats HTTP/1.1\r\nhost: x\r\n\r\n");
     assert_eq!(code, 200);
     let stats_reply = Reply::from_json_line(&body).expect("stats body");
     let counters = stats_reply.counters.expect("counters");
@@ -252,16 +253,47 @@ fn http_front_door() {
     // 200 with the reply object.
     let solve = SolveRequest::new("http-0", guaranteed_case(0x177, 0));
     let body_line = Request::Solve(solve).to_json_line();
-    let (code, body) = http(format!(
-        "POST /solve HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body_line}",
-        body_line.len()
-    ));
+    let (code, body) = http(
+        &addr,
+        &format!(
+            "POST /solve HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body_line}",
+            body_line.len()
+        ),
+    );
     assert_eq!(code, 200, "body: {body}");
     let reply = Reply::from_json_line(&body).expect("solve body");
     assert_eq!(reply.status, ReplyStatus::Solved);
 
-    let (code, _) = http("GET /nowhere HTTP/1.1\r\nhost: x\r\n\r\n".to_string());
+    let (code, _) = http(&addr, "GET /nowhere HTTP/1.1\r\nhost: x\r\n\r\n");
     assert_eq!(code, 400);
+
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_content_length_is_refused_before_allocation() {
+    let (handle, addr) = start(default_config());
+
+    // A header claiming ~1 TB: allocating it would abort the daemon.
+    let (code, body) = http(
+        &addr,
+        "POST /solve HTTP/1.1\r\nhost: x\r\nContent-Length: 999999999999\r\n\r\n",
+    );
+    assert_eq!(code, 400, "body: {body}");
+    let reply = Reply::from_json_line(&body).expect("typed reply");
+    assert_eq!(reply.status, ReplyStatus::BadRequest);
+
+    // The daemon survived and its accounting identity still holds.
+    let (code, _) = http(&addr, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
+    assert_eq!(code, 200);
+    let (code, body) = http(&addr, "GET /stats HTTP/1.1\r\nhost: x\r\n\r\n");
+    assert_eq!(code, 200);
+    let counters = Reply::from_json_line(&body)
+        .expect("stats body")
+        .counters
+        .expect("counters");
+    assert_eq!(counters.requests, counters.classified_total());
+    assert_eq!(counters.bad_requests, 1);
 
     handle.shutdown();
 }
@@ -574,33 +606,14 @@ fn session_lifecycle_edit_solve_replay_and_telemetry() {
 #[test]
 fn session_http_round_trip() {
     let (handle, addr) = start(default_config());
-    let http = |request: String| -> (u32, String) {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        stream.write_all(request.as_bytes()).expect("write");
-        stream.flush().expect("flush");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        let code: u32 = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .expect("status code");
-        let body = response
-            .split("\r\n\r\n")
-            .nth(1)
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        (code, body)
-    };
     let post = |path: &str, body: String| -> (u32, String) {
-        http(format!(
-            "POST {path} HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        ))
+        http(
+            &addr,
+            &format!(
+                "POST {path} HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        )
     };
 
     let open_body = Request::SessionOpen {
