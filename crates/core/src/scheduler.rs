@@ -249,7 +249,8 @@ pub struct PeriodAttempt {
     pub period: u32,
     /// What happened.
     pub outcome: PeriodOutcome,
-    /// Branch-and-bound nodes explored.
+    /// Search nodes explored: branch-and-bound nodes for the ILP, search
+    /// nodes for the CP backend.
     pub nodes: u64,
     /// Simplex iterations across the search.
     pub lp_iterations: u64,
@@ -535,6 +536,7 @@ enum ExactVerdict {
     /// Proven infeasible; `at_build` means rejected before any search.
     Refuted {
         at_build: bool,
+        nodes: u64,
         num_vars: usize,
         num_constrs: usize,
     },
@@ -1041,6 +1043,7 @@ impl RateOptimalScheduler {
             Err(ScheduleError::PeriodInfeasible { .. }) => {
                 return ExactVerdict::Refuted {
                     at_build: true,
+                    nodes: 0,
                     num_vars: 0,
                     num_constrs: 0,
                 }
@@ -1097,6 +1100,7 @@ impl RateOptimalScheduler {
             }
             Err(SolveError::Infeasible) => ExactVerdict::Refuted {
                 at_build: false,
+                nodes: 0,
                 num_vars,
                 num_constrs,
             },
@@ -1127,9 +1131,10 @@ impl RateOptimalScheduler {
             packing_bound: self.config.packing_bound,
             max_live: self.config.max_live,
         };
-        // Race arms run with a throwaway store: which clauses a loser
-        // learned depends on wall-clock interleaving, and persisting them
-        // would leak race nondeterminism into the next warm solve.
+        // Strictly cold solves (`warm_sweep` off) and race arms run with a
+        // throwaway store. For a race arm, which clauses a loser learned
+        // depends on wall-clock interleaving, and persisting them would
+        // leak race nondeterminism into the next warm solve.
         let mut scratch = swp_cpsat::NoGoodStore::default();
         let (store, reuse) = match warm {
             Some(w) => (&mut w.nogoods, Some(&mut w.reuse)),
@@ -1149,8 +1154,9 @@ impl RateOptimalScheduler {
                 num_vars: 0,
                 num_constrs: 0,
             },
-            Ok((CpOutcome::Infeasible, _)) => ExactVerdict::Refuted {
+            Ok((CpOutcome::Infeasible, stats)) => ExactVerdict::Refuted {
                 at_build: false,
+                nodes: stats.nodes,
                 num_vars: 0,
                 num_constrs: 0,
             },
@@ -1343,6 +1349,7 @@ impl RateOptimalScheduler {
             }
             ExactVerdict::Refuted {
                 at_build,
+                nodes,
                 num_vars,
                 num_constrs,
             } => {
@@ -1353,7 +1360,7 @@ impl RateOptimalScheduler {
                     } else {
                         PeriodOutcome::Infeasible
                     },
-                    nodes: 0,
+                    nodes,
                     lp_iterations: 0,
                     elapsed: started.elapsed(),
                     num_vars,
@@ -1889,6 +1896,39 @@ mod tests {
                 .map(|r| r.winner == Some(RaceEngine::Cp))
                 .unwrap_or(false)
         }));
+    }
+
+    #[test]
+    fn cp_refutation_reports_its_search_nodes() {
+        // Four latency-4 ops on one unit busy for one cycle each, with
+        // a recurrence 1 → 2 → 1 of latency 8 over distance 2:
+        // T_lb = T_dep = T_res = 4. No root propagator rejects T = 4;
+        // CP refutes it by search, and that effort must reach the log.
+        let (_, machine) =
+            swp_machine::parse_machine("machine m {\n    unit C0 count=1 latency=4 table[X.]\n}\n")
+                .unwrap();
+        let mut g = Ddg::new();
+        let n: Vec<_> = (0..4)
+            .map(|i| g.add_node(format!("n{i}"), OpClass::new(0), 4))
+            .collect();
+        g.add_edge(n[0], n[1], 0).unwrap();
+        g.add_edge(n[1], n[2], 0).unwrap();
+        g.add_edge(n[0], n[2], 0).unwrap();
+        g.add_edge(n[1], n[3], 0).unwrap();
+        g.add_edge(n[2], n[1], 2).unwrap();
+        let cfg = SchedulerConfig {
+            engine: Engine::Cp,
+            heuristic_incumbent: false,
+            ..Default::default()
+        };
+        let s = RateOptimalScheduler::new(machine, cfg)
+            .schedule(&g)
+            .expect("schedulable above T_lb");
+        let first = &s.attempts[0];
+        assert_eq!(first.period, s.t_lb());
+        assert_eq!(first.outcome, PeriodOutcome::Infeasible);
+        assert!(first.nodes > 0, "CP refutation lost its effort: {first:?}");
+        assert_eq!(s.solver_stats().bb_nodes, s.total_nodes());
     }
 
     #[test]

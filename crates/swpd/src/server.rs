@@ -48,6 +48,14 @@ use swp_milp::CancelToken;
 /// process where `catch_unwind` cannot see it.
 const MAX_HTTP_BODY_BYTES: usize = 1 << 20;
 
+/// Longest JSONL request line the daemon reads, newline excluded. It is
+/// also the cap on a connection's first line, read before the transport
+/// is known. A line carries one request, so it gets the body's budget.
+const MAX_JSONL_LINE_BYTES: usize = MAX_HTTP_BODY_BYTES;
+
+/// Longest HTTP header line the daemon reads, newline excluded.
+const MAX_HTTP_HEADER_LINE_BYTES: usize = 8 << 10;
+
 /// Factory for running daemons.
 #[derive(Debug)]
 pub struct Daemon;
@@ -190,23 +198,50 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, addr: SocketAddr) {
         }
     };
     let mut reader = BufReader::new(reader_stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first).unwrap_or(0) == 0 {
-        return; // immediate EOF (e.g. the drain's self-connect)
+    match read_line_capped(&mut reader, MAX_JSONL_LINE_BYTES) {
+        Line::Eof => {} // immediate EOF (e.g. the drain's self-connect)
+        Line::Text(l) if l.starts_with("POST ") || l.starts_with("GET ") => {
+            handle_http(shared, stream, reader, &l, addr);
+        }
+        first => handle_jsonl(shared, stream, reader, first, addr),
     }
-    if first.starts_with("POST ") || first.starts_with("GET ") {
-        handle_http(shared, stream, reader, &first, addr);
-    } else {
-        handle_jsonl(shared, stream, reader, first, addr);
+}
+
+/// One line read under a byte cap.
+enum Line {
+    /// End of stream, a read error, or invalid UTF-8: the client is gone
+    /// or not speaking the protocol.
+    Eof,
+    /// A complete line (or the unterminated tail before EOF), newline
+    /// included.
+    Text(String),
+    /// More than the cap arrived without a newline.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes, newline excluded, buffering
+/// no more than `cap + 1` bytes of it.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Line {
+    let mut buf = Vec::new();
+    match reader
+        .by_ref()
+        .take(cap as u64 + 1)
+        .read_until(b'\n', &mut buf)
+    {
+        Ok(0) | Err(_) => Line::Eof,
+        Ok(_) if buf.len() > cap && buf.last() != Some(&b'\n') => Line::TooLong,
+        Ok(_) => String::from_utf8(buf).map_or(Line::Eof, Line::Text),
     }
 }
 
 /// Raw JSONL: pipelined requests in, completion-ordered replies out.
+/// A line over [`MAX_JSONL_LINE_BYTES`] gets a `bad_request` and closes
+/// the connection.
 fn handle_jsonl(
     shared: &Arc<Shared>,
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    first: String,
+    mut reader: BufReader<TcpStream>,
+    first: Line,
     addr: SocketAddr,
 ) {
     let (tx, rx) = channel::<Reply>();
@@ -215,11 +250,19 @@ fn handle_jsonl(
         .spawn(move || jsonl_writer(stream, &rx));
     let mut tokens: Vec<CancelToken> = Vec::new();
 
-    let mut lines = std::iter::once(Ok(first)).chain(reader.lines());
+    let mut next = Some(first);
     loop {
-        let line = match lines.next() {
-            Some(Ok(l)) => l,
-            _ => break, // EOF or read error: client gone
+        let line = match next
+            .take()
+            .unwrap_or_else(|| read_line_capped(&mut reader, MAX_JSONL_LINE_BYTES))
+        {
+            Line::Text(l) => l,
+            Line::Eof => break, // client gone
+            Line::TooLong => {
+                let why = format!("request line exceeds the {MAX_JSONL_LINE_BYTES}-byte limit");
+                dispatch_parsed(shared, Err(why), &tx, &mut tokens, addr);
+                break;
+            }
         };
         if line.trim().is_empty() {
             continue;
@@ -379,10 +422,17 @@ fn handle_http(
     // Headers: only Content-Length matters to us.
     let mut content_length = 0usize;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            return;
-        }
+        let line = match read_line_capped(&mut reader, MAX_HTTP_HEADER_LINE_BYTES) {
+            Line::Text(l) => l,
+            Line::Eof => return,
+            Line::TooLong => {
+                return refuse_http(
+                    shared,
+                    stream,
+                    format!("header line exceeds the {MAX_HTTP_HEADER_LINE_BYTES}-byte limit"),
+                );
+            }
+        };
         let line = line.trim();
         if line.is_empty() {
             break;
@@ -392,22 +442,23 @@ fn handle_http(
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = v.parse().unwrap_or(0);
+            content_length = match v.parse() {
+                Ok(n) => n,
+                Err(_) => {
+                    return refuse_http(shared, stream, format!("bad Content-Length `{v}`"));
+                }
+            };
         }
     }
     if content_length > MAX_HTTP_BODY_BYTES {
-        shared.stats.count_request();
-        let r = Reply::error(
-            "",
-            ReplyStatus::BadRequest,
+        return refuse_http(
+            shared,
+            stream,
             format!(
                 "request body of {content_length} bytes exceeds the \
                  {MAX_HTTP_BODY_BYTES}-byte limit"
             ),
         );
-        shared.stats.count_reply(r.status);
-        write_http_reply(stream, &r);
-        return;
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
@@ -468,6 +519,15 @@ fn handle_http(
         }
     };
     write_http_reply(stream, &reply);
+}
+
+/// Answers a request refused before routing with a counted
+/// `bad_request`.
+fn refuse_http(shared: &Shared, stream: TcpStream, why: String) {
+    shared.stats.count_request();
+    let r = Reply::error("", ReplyStatus::BadRequest, why);
+    shared.stats.count_reply(r.status);
+    write_http_reply(stream, &r);
 }
 
 /// Writes `reply` as a one-shot `Connection: close` HTTP response.

@@ -74,11 +74,16 @@ fn http(addr: &str, request: &str) -> (u32, String) {
     stream.flush().expect("flush");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
+    split_http_response(&response)
+}
+
+/// An HTTP response as `(status code, trimmed body)`.
+fn split_http_response(response: &str) -> (u32, String) {
     let code: u32 = response
         .split_whitespace()
         .nth(1)
         .and_then(|c| c.parse().ok())
-        .expect("status code");
+        .unwrap_or_else(|| panic!("no HTTP status in {response:?}"));
     let body = response
         .split("\r\n\r\n")
         .nth(1)
@@ -284,17 +289,80 @@ fn oversized_content_length_is_refused_before_allocation() {
     assert_eq!(reply.status, ReplyStatus::BadRequest);
 
     // The daemon survived and its accounting identity still holds.
-    let (code, _) = http(&addr, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
+    assert_eq!(assert_healthy_and_balanced(&addr).bad_requests, 1);
+
+    // A non-numeric length is refused too, not read as an empty body.
+    let (code, body) = http(
+        &addr,
+        "POST /solve HTTP/1.1\r\nhost: x\r\nContent-Length: lots\r\n\r\n",
+    );
+    assert_eq!(code, 400, "body: {body}");
+    assert!(body.contains("Content-Length"), "body: {body}");
+    assert_eq!(assert_healthy_and_balanced(&addr).bad_requests, 2);
+
+    handle.shutdown();
+}
+
+/// Sends `prefix` followed by 2 MiB with no newline from a helper
+/// thread, and returns everything the daemon answers before it closes
+/// the connection (within the client read timeout).
+fn send_endless_line(addr: &str, prefix: &str) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let prefix = prefix.to_string();
+    let sender = std::thread::spawn(move || {
+        // The daemon stops reading at its cap and closes, so the tail of
+        // this write may fail; that is expected.
+        let _ = writer.write_all(prefix.as_bytes());
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        let _ = writer.flush();
+    });
+    let mut response = Vec::new();
+    let _ = (&stream).read_to_end(&mut response);
+    sender.join().expect("sender thread");
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+/// The daemon is still up and `requests == classified_total` holds.
+fn assert_healthy_and_balanced(addr: &str) -> swp_swpd::StatsSnapshot {
+    let (code, _) = http(addr, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
     assert_eq!(code, 200);
-    let (code, body) = http(&addr, "GET /stats HTTP/1.1\r\nhost: x\r\n\r\n");
+    let (code, body) = http(addr, "GET /stats HTTP/1.1\r\nhost: x\r\n\r\n");
     assert_eq!(code, 200);
     let counters = Reply::from_json_line(&body)
         .expect("stats body")
         .counters
         .expect("counters");
     assert_eq!(counters.requests, counters.classified_total());
-    assert_eq!(counters.bad_requests, 1);
+    counters
+}
 
+#[test]
+fn endless_jsonl_line_is_refused_at_the_cap() {
+    let (handle, addr) = start(default_config());
+    let response = send_endless_line(&addr, r#"{"op":"ping","id":""#);
+    let reply = Reply::from_json_line(response.trim()).expect("typed reply");
+    assert_eq!(reply.status, ReplyStatus::BadRequest, "reply: {reply:?}");
+    assert!(
+        reply.error.as_deref().unwrap_or("").contains("limit"),
+        "reply: {reply:?}"
+    );
+    assert_eq!(assert_healthy_and_balanced(&addr).bad_requests, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn endless_http_header_line_is_refused_at_the_cap() {
+    let (handle, addr) = start(default_config());
+    let response = send_endless_line(&addr, "GET /health HTTP/1.1\r\nx-padding: ");
+    let (code, body) = split_http_response(&response);
+    assert_eq!(code, 400, "response: {response}");
+    let reply = Reply::from_json_line(&body).expect("typed reply");
+    assert_eq!(reply.status, ReplyStatus::BadRequest);
+    assert_eq!(assert_healthy_and_balanced(&addr).bad_requests, 1);
     handle.shutdown();
 }
 
