@@ -35,7 +35,7 @@ use swp_cpsat::{CpError, CpOptions, CpOutcome};
 use swp_ddg::Ddg;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
 use swp_machine::{DataLayout, Machine, PipelinedSchedule, ValidationError};
-use swp_milp::{Budget, Exhaustion, SolveError, SolveLimits};
+use swp_milp::{Budget, Exhaustion, SearchOutcome, SearchStats, SolveError, SolveLimits};
 
 /// Tick allowance for the best-effort heuristic pass that runs after the
 /// main budget is exhausted. Ticks (one per IMS placement) rather than
@@ -537,11 +537,17 @@ enum ExactVerdict {
     Refuted {
         at_build: bool,
         nodes: u64,
+        lp_iterations: u64,
         num_vars: usize,
         num_constrs: usize,
     },
-    /// The per-period budget ran out undecided.
-    Limit { num_vars: usize, num_constrs: usize },
+    /// The per-period budget ran out undecided, after this much search.
+    Limit {
+        nodes: u64,
+        lp_iterations: u64,
+        num_vars: usize,
+        num_constrs: usize,
+    },
     /// The cancel token fired mid-solve.
     Cancelled,
     /// The engine failed on this instance (numerical stall, or a colored
@@ -1044,6 +1050,7 @@ impl RateOptimalScheduler {
                 return ExactVerdict::Refuted {
                     at_build: true,
                     nodes: 0,
+                    lp_iterations: 0,
                     num_vars: 0,
                     num_constrs: 0,
                 }
@@ -1070,24 +1077,29 @@ impl RateOptimalScheduler {
             }
         }
         let (num_vars, num_constrs) = (f.model.num_vars(), f.model.num_constrs());
-        let (solved, basis) = if self.config.faults.fail_ilp {
-            (Err(SolveError::Numerical("injected fault".into())), None)
-        } else if warm.is_some() {
-            f.model.solve_with_basis(&limits)
+        let SearchOutcome {
+            result: solved,
+            stats,
+            root_basis,
+        } = if self.config.faults.fail_ilp {
+            SearchOutcome {
+                result: Err(SolveError::Numerical("injected fault".into())),
+                stats: SearchStats::default(),
+                root_basis: None,
+            }
         } else {
-            (f.model.solve_with(&limits), None)
+            f.model.solve_with_stats(&limits)
         };
         if let Some(w) = warm.as_deref_mut() {
             // The basis is exported even off the infeasible path: refuted
             // periods are exactly where the `T+1` crash start pays.
-            if let Some(b) = basis.filter(|b| !b.is_empty()) {
+            if let Some(b) = root_basis.filter(|b| !b.is_empty()) {
                 w.basis_names = Some(f.model.basis_to_names(&b));
                 w.reuse.basis_exports += 1;
             }
         }
         match solved {
             Ok(sol) => {
-                let stats = *sol.stats();
                 let (starts, units) = f.extract(&sol);
                 ExactVerdict::Feasible {
                     starts,
@@ -1100,11 +1112,14 @@ impl RateOptimalScheduler {
             }
             Err(SolveError::Infeasible) => ExactVerdict::Refuted {
                 at_build: false,
-                nodes: 0,
+                nodes: stats.nodes,
+                lp_iterations: stats.lp_iterations,
                 num_vars,
                 num_constrs,
             },
             Err(SolveError::LimitReached(_)) => ExactVerdict::Limit {
+                nodes: stats.nodes,
+                lp_iterations: stats.lp_iterations,
                 num_vars,
                 num_constrs,
             },
@@ -1157,11 +1172,14 @@ impl RateOptimalScheduler {
             Ok((CpOutcome::Infeasible, stats)) => ExactVerdict::Refuted {
                 at_build: false,
                 nodes: stats.nodes,
+                lp_iterations: 0,
                 num_vars: 0,
                 num_constrs: 0,
             },
             Err(CpError::Exhausted(Exhaustion::Cancelled)) => ExactVerdict::Cancelled,
             Err(CpError::Exhausted(_)) => ExactVerdict::Limit {
+                nodes: 0,
+                lp_iterations: 0,
                 num_vars: 0,
                 num_constrs: 0,
             },
@@ -1276,6 +1294,8 @@ impl RateOptimalScheduler {
                             ExactVerdict::Cancelled
                         } else {
                             ExactVerdict::Limit {
+                                nodes: 0,
+                                lp_iterations: 0,
                                 num_vars: 0,
                                 num_constrs: 0,
                             }
@@ -1350,6 +1370,7 @@ impl RateOptimalScheduler {
             ExactVerdict::Refuted {
                 at_build,
                 nodes,
+                lp_iterations,
                 num_vars,
                 num_constrs,
             } => {
@@ -1361,7 +1382,7 @@ impl RateOptimalScheduler {
                         PeriodOutcome::Infeasible
                     },
                     nodes,
-                    lp_iterations: 0,
+                    lp_iterations,
                     elapsed: started.elapsed(),
                     num_vars,
                     num_constrs,
@@ -1370,14 +1391,16 @@ impl RateOptimalScheduler {
                 Ok(PeriodResult::Refuted)
             }
             ExactVerdict::Limit {
+                nodes,
+                lp_iterations,
                 num_vars,
                 num_constrs,
             } => {
                 attempts.push(PeriodAttempt {
                     period,
                     outcome: PeriodOutcome::TimedOut,
-                    nodes: 0,
-                    lp_iterations: 0,
+                    nodes,
+                    lp_iterations,
                     elapsed: started.elapsed(),
                     num_vars,
                     num_constrs,
@@ -1898,12 +1921,11 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn cp_refutation_reports_its_search_nodes() {
-        // Four latency-4 ops on one unit busy for one cycle each, with
-        // a recurrence 1 → 2 → 1 of latency 8 over distance 2:
-        // T_lb = T_dep = T_res = 4. No root propagator rejects T = 4;
-        // CP refutes it by search, and that effort must reach the log.
+    /// Four latency-4 ops on one unit busy for one cycle each, with a
+    /// recurrence 1 → 2 → 1 of latency 8 over distance 2:
+    /// `T_lb = T_dep = T_res = 4`. No root check rejects `T = 4`; both
+    /// exact engines refute it by search.
+    fn refuted_by_search_at_t_lb() -> (Machine, Ddg) {
         let (_, machine) =
             swp_machine::parse_machine("machine m {\n    unit C0 count=1 latency=4 table[X.]\n}\n")
                 .unwrap();
@@ -1916,6 +1938,12 @@ mod tests {
         g.add_edge(n[0], n[2], 0).unwrap();
         g.add_edge(n[1], n[3], 0).unwrap();
         g.add_edge(n[2], n[1], 2).unwrap();
+        (machine, g)
+    }
+
+    #[test]
+    fn cp_refutation_reports_its_search_nodes() {
+        let (machine, g) = refuted_by_search_at_t_lb();
         let cfg = SchedulerConfig {
             engine: Engine::Cp,
             heuristic_incumbent: false,
@@ -1929,6 +1957,59 @@ mod tests {
         assert_eq!(first.outcome, PeriodOutcome::Infeasible);
         assert!(first.nodes > 0, "CP refutation lost its effort: {first:?}");
         assert_eq!(s.solver_stats().bb_nodes, s.total_nodes());
+    }
+
+    #[test]
+    fn ilp_refutation_reports_its_search_effort() {
+        let (machine, g) = refuted_by_search_at_t_lb();
+        let cfg = SchedulerConfig {
+            engine: Engine::Ilp,
+            heuristic_incumbent: false,
+            ..Default::default()
+        };
+        let s = RateOptimalScheduler::new(machine, cfg)
+            .schedule(&g)
+            .expect("schedulable above T_lb");
+        let first = &s.attempts[0];
+        assert_eq!(first.period, s.t_lb());
+        assert_eq!(first.outcome, PeriodOutcome::Infeasible);
+        assert!(
+            first.nodes > 0 && first.lp_iterations > 0,
+            "ILP refutation lost its effort: {first:?}"
+        );
+        assert_eq!(s.solver_stats().lp_iterations, s.total_lp_iterations());
+    }
+
+    #[test]
+    fn ilp_timeout_reports_its_search_effort() {
+        // loop0128 under the Table 5 configuration (pure ILP, warm
+        // sweep) runs out of budget at T = 6. A tick cap stands in for
+        // the wall-clock limits so the test is deterministic.
+        let loops = swp_loops::suite::generate(&swp_loops::suite::SuiteConfig {
+            num_loops: 129,
+            ..swp_loops::suite::SuiteConfig::pldi95_default()
+        });
+        let cfg = SchedulerConfig {
+            engine: Engine::Ilp,
+            heuristic_incumbent: false,
+            warm_sweep: true,
+            time_limit_per_t: None,
+            time_limit_total: None,
+            ..Default::default()
+        };
+        let s = RateOptimalScheduler::new(Machine::example_pldi95(), cfg)
+            .schedule_with(&loops[128].ddg, &Budget::with_tick_limit(1_000))
+            .expect("the grace heuristic schedules it");
+        let t6 = s
+            .attempts
+            .iter()
+            .find(|a| a.period == 6)
+            .expect("T = 6 was attempted");
+        assert_eq!(t6.outcome, PeriodOutcome::TimedOut);
+        assert!(
+            t6.nodes > 0 && t6.lp_iterations > 0,
+            "ILP timeout lost its effort: {t6:?}"
+        );
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! the tree.
 
 use crate::budget::{Budget, Exhaustion};
-use crate::model::{Model, Sense, VarKind};
+use crate::model::{Model, VarKind};
 use crate::simplex::{
-    solve_lp_warm, solve_lp_with, LpBasis, LpOutcome, LpProblem, PivotLayout, FEAS_TOL,
+    solve_lp_in, LpBasis, LpOutcome, LpProblem, LpWorkspace, PivotLayout, FEAS_TOL,
 };
 use crate::SolveError;
 use std::time::{Duration, Instant};
@@ -99,7 +99,8 @@ pub enum StopReason {
 pub struct SearchStats {
     /// Nodes explored (LPs solved, excluding heuristic probes).
     pub nodes: u64,
-    /// Total simplex iterations across all node LPs.
+    /// Total simplex iterations across all node LPs, whatever their
+    /// outcome (an LP the budget interrupted counts the pivots it made).
     pub lp_iterations: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -107,6 +108,19 @@ pub struct SearchStats {
     pub proven_optimal: bool,
     /// What ended the search.
     pub stop_reason: StopReason,
+}
+
+/// Everything a search reports, on every exit path: see
+/// [`BranchBound::run_with_stats`].
+#[derive(Debug, Clone)]
+pub struct SearchOutcome {
+    /// The verdict, exactly as [`BranchBound::run`] returns it.
+    pub result: Result<MipSolution, SolveError>,
+    /// Effort spent, also when `result` is an `Err`.
+    pub stats: SearchStats,
+    /// The root relaxation's terminal basis (`None` if the root LP never
+    /// finished).
+    pub root_basis: Option<LpBasis>,
 }
 
 /// An integer-feasible solution of a [`Model`].
@@ -162,10 +176,12 @@ pub struct BranchBound<'a> {
     limits: SolveLimits,
     /// Indices of integer/binary variables.
     int_vars: Vec<usize>,
-    /// Rows shared by every node LP.
-    rows: Vec<(Vec<(usize, f64)>, Sense, f64)>,
-    /// Minimization objective (negated if the model maximizes).
-    obj_min: Vec<f64>,
+    /// The node LP: rows and minimization objective (negated if the
+    /// model maximizes) shared by every node, which overwrites only the
+    /// column bounds. Built with the root bounds.
+    lp: LpProblem,
+    /// Tableau and scratch buffers reused by every node LP.
+    ws: LpWorkspace,
 }
 
 impl<'a> BranchBound<'a> {
@@ -190,20 +206,10 @@ impl<'a> BranchBound<'a> {
             })
             .collect();
         let sign = if model.maximize { -1.0 } else { 1.0 };
-        let obj_min = model.obj.iter().map(|&c| sign * c).collect();
-        BranchBound {
-            model,
-            limits,
-            int_vars,
-            rows,
-            obj_min,
-        }
-    }
-
-    fn root_bounds(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut lo: Vec<f64> = self.model.vars.iter().map(|v| v.lo).collect();
-        let mut hi: Vec<f64> = self.model.vars.iter().map(|v| v.hi).collect();
-        for &j in &self.int_vars {
+        let obj = model.obj.iter().map(|&c| sign * c).collect();
+        let mut lo: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
+        let mut hi: Vec<f64> = model.vars.iter().map(|v| v.hi).collect();
+        for &j in &int_vars {
             if lo[j].is_finite() {
                 lo[j] = (lo[j] - INT_TOL).ceil();
             }
@@ -211,7 +217,13 @@ impl<'a> BranchBound<'a> {
                 hi[j] = (hi[j] + INT_TOL).floor();
             }
         }
-        (lo, hi)
+        BranchBound {
+            model,
+            limits,
+            int_vars,
+            lp: LpProblem { obj, rows, lo, hi },
+            ws: LpWorkspace::default(),
+        }
     }
 
     /// Stated-direction objective from a minimization objective value.
@@ -238,24 +250,27 @@ impl<'a> BranchBound<'a> {
     /// incumbent is returned with `proven_optimal == false` and the
     /// tripping limit in [`SearchStats::stop_reason`].
     pub fn run(self) -> Result<MipSolution, SolveError> {
-        self.run_with_basis().0
+        self.run_with_stats().result
     }
 
-    /// Runs the search and additionally exports the **root** relaxation's
-    /// terminal simplex basis, which is the natural warm-start hint for
-    /// the next closely-related model (T+1 of a sweep, or a re-solve
-    /// after a DDG edit). The basis is exported on the infeasible path
-    /// too — refuted periods are exactly where the next period's warm
-    /// start pays.
+    /// Runs the search and reports its effort on **every** exit path: a
+    /// refutation or a truncated search returns its node and pivot counts
+    /// alongside the `Err`. The verdict in [`SearchOutcome::result`] is
+    /// exactly [`BranchBound::run`]'s.
     ///
-    /// # Errors
-    ///
-    /// As [`BranchBound::run`]; the error sits in the first tuple slot.
-    pub fn run_with_basis(self) -> (Result<MipSolution, SolveError>, Option<LpBasis>) {
+    /// It also exports the **root** relaxation's terminal simplex basis,
+    /// the natural warm-start hint for the next closely-related model
+    /// (T+1 of a sweep, or a re-solve after a DDG edit). The basis is
+    /// exported on the infeasible path too — refuted periods are exactly
+    /// where the next period's warm start pays.
+    pub fn run_with_stats(mut self) -> SearchOutcome {
         let mut root_basis: Option<LpBasis> = None;
         let start = Instant::now();
-        let (lo, hi) = self.root_bounds();
-        let mut stack = vec![Node { lo, hi, depth: 0 }];
+        let mut stack = vec![Node {
+            lo: self.lp.lo.clone(),
+            hi: self.lp.hi.clone(),
+            depth: 0,
+        }];
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, min-objective)
         let mut stats = SearchStats::default();
         let cutoff_min = self.limits.objective_cutoff.map(|c| {
@@ -266,6 +281,7 @@ impl<'a> BranchBound<'a> {
             }
         });
         let mut truncated = false;
+        let mut early: Option<SolveError> = None;
 
         'search: while let Some(node) = stack.pop() {
             if stats.nodes >= self.limits.max_nodes {
@@ -284,7 +300,10 @@ impl<'a> BranchBound<'a> {
             // honoured promptly even when node LPs are tiny.
             match self.limits.budget.check() {
                 Ok(()) => {}
-                Err(Exhaustion::Cancelled) => return (Err(SolveError::Cancelled), root_basis),
+                Err(Exhaustion::Cancelled) => {
+                    early = Some(SolveError::Cancelled);
+                    break;
+                }
                 Err(e) => {
                     truncated = true;
                     stats.stop_reason = StopReason::Budget(e);
@@ -293,24 +312,27 @@ impl<'a> BranchBound<'a> {
             }
             stats.nodes += 1;
 
-            let lp = LpProblem {
-                obj: self.obj_min.clone(),
-                rows: self.rows.clone(),
-                lo: node.lo.clone(),
-                hi: node.hi.clone(),
-            };
+            self.lp.lo.copy_from_slice(&node.lo);
+            self.lp.hi.copy_from_slice(&node.hi);
             // The root relaxation is warm-started from the caller's hint
             // (if any) and its terminal basis exported for the caller's
             // next solve; deeper nodes stay on the cold path, whose pivot
             // sequence is untouched.
-            let lp_result = if node.depth == 0 {
-                solve_lp_warm(&lp, &self.limits.budget, self.limits.warm_basis.as_ref()).map(|r| {
-                    root_basis = Some(r.basis);
-                    r.outcome
-                })
+            let hint = if node.depth == 0 {
+                self.limits.warm_basis.as_ref()
             } else {
-                solve_lp_with(&lp, &self.limits.budget)
+                None
             };
+            let lp_result = solve_lp_in(&self.lp, &self.limits.budget, hint, &mut self.ws);
+            // Pivots count whatever the LP's outcome, including the pivots
+            // of an LP the budget interrupted.
+            stats.lp_iterations += self.ws.pivots() as u64;
+            let lp_result = lp_result.map(|r| {
+                if node.depth == 0 {
+                    root_basis = Some(r.basis);
+                }
+                r.outcome
+            });
             let sol = match lp_result {
                 Ok(LpOutcome::Optimal(s)) => s,
                 Ok(LpOutcome::Infeasible) => continue,
@@ -318,9 +340,9 @@ impl<'a> BranchBound<'a> {
                     // An unbounded relaxation (with or without integer
                     // variables) means the MIP is unbounded or needs a
                     // bound; report it.
-                    return (Err(SolveError::Unbounded), root_basis);
+                    early = Some(SolveError::Unbounded);
+                    break;
                 }
-                Err(SolveError::Cancelled) => return (Err(SolveError::Cancelled), root_basis),
                 Err(SolveError::LimitReached(_)) => {
                     // Budget tripped mid-LP: keep whatever incumbent we have.
                     truncated = true;
@@ -335,9 +357,11 @@ impl<'a> BranchBound<'a> {
                     );
                     break;
                 }
-                Err(e) => return (Err(e), root_basis),
+                Err(e) => {
+                    early = Some(e);
+                    break;
+                }
             };
-            stats.lp_iterations += sol.iterations as u64;
 
             // Bound pruning.
             if let Some((_, inc)) = &incumbent {
@@ -370,7 +394,7 @@ impl<'a> BranchBound<'a> {
                     for &j in &self.int_vars {
                         x[j] = x[j].round();
                     }
-                    let obj: f64 = self.obj_min.iter().zip(&x).map(|(&c, &v)| c * v).sum();
+                    let obj: f64 = self.lp.obj.iter().zip(&x).map(|(&c, &v)| c * v).sum();
                     let better = incumbent
                         .as_ref()
                         .map(|(_, inc)| obj < *inc - 1e-9)
@@ -431,17 +455,25 @@ impl<'a> BranchBound<'a> {
         }
 
         stats.elapsed = start.elapsed();
-        stats.proven_optimal = !truncated;
-        let result = match incumbent {
-            Some((x, obj)) => Ok(MipSolution {
+        stats.proven_optimal = !truncated && early.is_none();
+        if early == Some(SolveError::Cancelled) {
+            stats.stop_reason = StopReason::Budget(Exhaustion::Cancelled);
+        }
+        let result = match (early, incumbent) {
+            (Some(e), _) => Err(e),
+            (None, Some((x, obj))) => Ok(MipSolution {
                 objective: self.stated(obj),
                 values: x,
                 stats,
             }),
-            None if truncated => Err(SolveError::LimitReached(None)),
-            None => Err(SolveError::Infeasible),
+            (None, None) if truncated => Err(SolveError::LimitReached(None)),
+            (None, None) => Err(SolveError::Infeasible),
         };
-        (result, root_basis)
+        SearchOutcome {
+            result,
+            stats,
+            root_basis,
+        }
     }
 
     /// Rounds the LP point to integers (within node bounds) and accepts it
@@ -452,7 +484,7 @@ impl<'a> BranchBound<'a> {
             y[j] = y[j].round().clamp(node.lo[j], node.hi[j]);
         }
         if self.model.is_feasible_point(&y, FEAS_TOL * 10.0) {
-            let obj: f64 = self.obj_min.iter().zip(&y).map(|(&c, &v)| c * v).sum();
+            let obj: f64 = self.lp.obj.iter().zip(&y).map(|(&c, &v)| c * v).sum();
             Some((y, obj))
         } else {
             None
@@ -563,6 +595,44 @@ mod tests {
             m.solve_with(&limits).unwrap_err(),
             SolveError::LimitReached(None)
         );
+    }
+
+    #[test]
+    fn every_exit_path_reports_its_effort() {
+        // Four binaries summing to 1.5: every relaxation is feasible and
+        // fractional until branching empties it, so refuting needs search.
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..4).map(|i| m.add_binary(format!("x{i}"))).collect();
+        m.add_constr(
+            xs.iter().map(|&x| (x, 1.0)).collect::<Vec<_>>(),
+            Sense::Eq,
+            1.5,
+        );
+        let refuted = m.solve_with_stats(&SolveLimits::default());
+        assert!(matches!(refuted.result, Err(SolveError::Infeasible)));
+        assert!(refuted.stats.nodes > 1 && refuted.stats.lp_iterations > 0);
+        assert!(refuted.stats.proven_optimal);
+
+        let capped = m.solve_with_stats(&SolveLimits {
+            max_nodes: 2,
+            ..Default::default()
+        });
+        assert!(matches!(capped.result, Err(SolveError::LimitReached(None))));
+        assert_eq!(capped.stats.nodes, 2);
+        assert_eq!(capped.stats.stop_reason, StopReason::NodeLimit);
+
+        // Two ticks buy the root LP two pivots before the cap interrupts
+        // it; both are still counted.
+        let interrupted = m.solve_with_stats(&SolveLimits {
+            budget: Budget::with_tick_limit(2),
+            ..Default::default()
+        });
+        assert!(matches!(
+            interrupted.result,
+            Err(SolveError::LimitReached(None))
+        ));
+        assert_eq!(interrupted.stats.nodes, 1);
+        assert_eq!(interrupted.stats.lp_iterations, 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Modeling layer: variables, linear expressions, constraints, objective.
 
-use crate::branch::{BranchBound, MipSolution, SolveLimits};
+use crate::branch::{BranchBound, MipSolution, SearchOutcome, SearchStats, SolveLimits};
 use crate::SolveError;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
@@ -482,7 +482,7 @@ impl Model {
     /// Solves under explicit limits and exports the root relaxation's
     /// terminal simplex basis (also on the infeasible path), for
     /// warm-starting the next closely-related model. See
-    /// [`BranchBound::run_with_basis`].
+    /// [`BranchBound::run_with_stats`].
     ///
     /// # Errors
     ///
@@ -494,10 +494,24 @@ impl Model {
         Result<MipSolution, SolveError>,
         Option<crate::simplex::LpBasis>,
     ) {
+        let out = self.solve_with_stats(limits);
+        (out.result, out.root_basis)
+    }
+
+    /// Solves under explicit limits and reports the search's effort on
+    /// every exit path, refutations and truncated searches included, with
+    /// the root relaxation's terminal basis. See
+    /// [`BranchBound::run_with_stats`]. A model that fails
+    /// [`Model::validate`] reports zero effort and no basis.
+    pub fn solve_with_stats(&self, limits: &SolveLimits) -> SearchOutcome {
         if let Err(e) = self.validate() {
-            return (Err(e), None);
+            return SearchOutcome {
+                result: Err(e),
+                stats: SearchStats::default(),
+                root_basis: None,
+            };
         }
-        BranchBound::new(self, limits.clone()).run_with_basis()
+        BranchBound::new(self, limits.clone()).run_with_stats()
     }
 
     /// Resolves a basis carried as variable **names** — exported by

@@ -11,14 +11,45 @@
 //! switch to Bland's rule after a run of degenerate pivots, which
 //! guarantees termination.
 //!
-//! The pivot inner loop enumerates the pivot row's nonzero columns once
-//! and skips the exact zeros in every eliminated row. Scheduling
-//! tableaus are mostly zeros (each constraint touches a handful of the
-//! `ops × slots` columns), so this does a small fraction of a full-width
-//! sweep's arithmetic — and because every skipped update is
-//! `x -= f · (±0.0)`, which can change at most the sign of a zero, and
-//! every decision in the solver is a comparison (IEEE orders
-//! `-0.0 == 0.0`), it takes the same pivot sequence a full sweep would.
+//! # Cost per pivot
+//!
+//! Scheduling tableaus are mostly zeros: each constraint touches a
+//! handful of the `ops × slots` columns, and a typical pivot row holds
+//! about a dozen nonzeros against hundreds of rows and columns. The
+//! solver does work in proportion to those nonzeros wherever it can:
+//!
+//! * **Build in place.** A first pass over the sparse rows computes each
+//!   row's shifted right-hand side, drops vacuous rows (a violated one
+//!   makes the LP infeasible), and so fixes the slack and artificial
+//!   counts. A second pass writes each coefficient, sign flip included,
+//!   straight into the zeroed tableau; no dense copy of a row exists.
+//! * **One workspace per search.** The tableau and every scratch list
+//!   live in an `LpWorkspace` that branch-and-bound owns and reuses
+//!   across its node LPs, so a node allocates nothing but its solution.
+//!   The buffer grows with `try_reserve_exact` after a `checked_mul` of
+//!   its dimensions: a tableau too large to hold is a
+//!   [`SolveError::BadModel`], not an abort. The public `solve_lp*`
+//!   functions make a fresh workspace per call.
+//! * **Column-major storage.** Entry `(r, c)` sits at `a[c·m + r]`, so
+//!   the entering column, which every pivot reads in full, is one
+//!   contiguous run. The pivot row becomes the strided read; it is read
+//!   once per pivot, to normalize it and list its nonzeros.
+//! * **One column scan per pivot.** The ratio test, which must read the
+//!   entering column anyway, records the rows with a nonzero in it; the
+//!   pivot then eliminates only those rows, and only in the pivot row's
+//!   nonzero columns.
+//!
+//! None of this changes the pivot sequence. Every entry still receives
+//! the same floating-point operations in the same order; the storage
+//! order only changes which entry is visited first, and no entry's
+//! update reads another entry updated in the same pivot. Every update
+//! the sparse sweeps skip is `x -= f · (±0.0)`, and a coefficient the
+//! build does not write stays `+0.0` where a dense copy would have
+//! written `±0.0`: both can change at most the sign of a zero. Every
+//! decision in the solver is a comparison, and IEEE orders
+//! `-0.0 == 0.0`, so the same pivots happen in the same order and every
+//! nonzero value is bit-identical. `crates/core/tests/pivot_pin.rs`
+//! pins the node and pivot counts this yields on the paper corpus.
 
 // Tableau arithmetic is clearer with explicit indices.
 #![allow(clippy::needless_range_loop)]
@@ -41,8 +72,8 @@ const DEGEN_SWITCH: usize = 60;
 /// [`crate::SolveLimits`]; a single value selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PivotLayout {
-    /// Sweep only the pivot row's nonzero columns, collected once per
-    /// pivot into a reusable index list.
+    /// Eliminate only the entering column's nonzero rows, and in each
+    /// only the pivot row's nonzero columns.
     #[default]
     SparseRow,
 }
@@ -146,64 +177,155 @@ enum ColMap {
     Fixed { value: f64 },
 }
 
-/// Dense row-major tableau.
+/// Where a tableau row comes from.
+#[derive(Debug, Clone, Copy)]
+enum RowSource {
+    /// Row `i` of [`LpProblem::rows`].
+    User(usize),
+    /// The finite upper bound of problem column `j`.
+    Upper(usize),
+}
+
+/// Number of `f64` entries in an `m × n` tableau, or
+/// [`SolveError::BadModel`] naming the dimensions if it overflows.
+fn tableau_len(m: usize, n: usize) -> Result<usize, SolveError> {
+    m.checked_mul(n).ok_or_else(|| {
+        SolveError::BadModel(format!("simplex tableau of {m}×{n} entries overflows"))
+    })
+}
+
+/// Dense column-major tableau plus the scratch lists its pivots reuse.
+#[derive(Debug, Default)]
 struct Tableau {
     m: usize,
     n: usize, // columns excluding rhs
+    /// Entry `(r, c)` at `a[c * m + r]`.
     a: Vec<f64>,
     rhs: Vec<f64>,
     basis: Vec<usize>,
+    /// The pivot row's nonzero columns and their values, refilled by every
+    /// pivot (and left holding them for the caller's reduced-cost update).
+    nz: Vec<usize>,
+    pv: Vec<f64>,
+    /// The rows with a nonzero in the entering column, filled by the
+    /// column scan that precedes every pivot, and their entries there.
+    col: Vec<usize>,
+    fv: Vec<f64>,
 }
 
 impl Tableau {
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * self.n + c]
+    /// Resizes to an all-zero `m × n` tableau with no basis, reusing the
+    /// existing buffers.
+    ///
+    /// A buffer that must grow is reserved at the next power of two of
+    /// its entry count. Only the first `m × n` entries are ever written,
+    /// so the slack costs address space, not memory; in exchange the
+    /// tableaus of successive searches fall into a few size classes and
+    /// reuse each other's freed blocks instead of fragmenting the heap.
+    fn reset(&mut self, m: usize, n: usize) -> Result<(), SolveError> {
+        let len = tableau_len(m, n)?;
+        self.a.clear();
+        let class = len.checked_next_power_of_two().unwrap_or(len);
+        self.a.try_reserve_exact(class).map_err(|_| {
+            SolveError::BadModel(format!(
+                "cannot allocate a simplex tableau of {m}×{n} entries"
+            ))
+        })?;
+        self.a.resize(len, 0.0);
+        self.rhs.clear();
+        self.rhs.resize(m, 0.0);
+        self.basis.clear();
+        self.basis.resize(m, usize::MAX);
+        self.m = m;
+        self.n = n;
+        Ok(())
     }
 
-    /// Pivots on `(pr, pc)`, sweeping only the pivot row's nonzeros,
-    /// which are collected into `nz` (reused across pivots, and left
-    /// holding them for the caller's reduced-cost update). Every
-    /// elimination this skips is `row[c] -= f * (±0.0)` — a value-level
-    /// no-op — so the resulting tableau equals a full-width sweep's under
-    /// every IEEE comparison (only signs of zeros may differ).
-    fn pivot(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
-        let n = self.n;
-        let piv = self.a[pr * n + pc];
-        let inv = 1.0 / piv;
-        nz.clear();
-        for (c, v) in self.a[pr * n..(pr + 1) * n].iter_mut().enumerate() {
+    fn at(&self, r: usize, c: usize) -> f64 {
+        self.a[c * self.m + r]
+    }
+
+    /// Fills `col` with the rows whose entry in column `pc` is nonzero.
+    fn scan_column(&mut self, pc: usize) {
+        self.col.clear();
+        for (r, &v) in self.a[pc * self.m..(pc + 1) * self.m].iter().enumerate() {
+            if v != 0.0 {
+                self.col.push(r);
+            }
+        }
+    }
+
+    /// Pivots on `(pr, pc)`. `col` must list the rows with a nonzero in
+    /// column `pc` (see [`Tableau::scan_column`]); only those rows are
+    /// eliminated, and only in the pivot row's nonzero columns, which are
+    /// collected into `nz`. Every elimination this skips is
+    /// `a[r][c] -= f * (±0.0)` — a value-level no-op — so the resulting
+    /// tableau equals a full sweep's under every IEEE comparison (only
+    /// signs of zeros may differ).
+    fn pivot(&mut self, pr: usize, pc: usize) {
+        let m = self.m;
+        let inv = 1.0 / self.a[pc * m + pr];
+        self.nz.clear();
+        self.pv.clear();
+        for (c, v) in self.a[pr..].iter_mut().step_by(m).enumerate() {
             if *v != 0.0 {
                 *v *= inv;
-                nz.push(c);
+                self.nz.push(c);
+                self.pv.push(*v);
             }
         }
         self.rhs[pr] *= inv;
         let rhs_pr = self.rhs[pr];
-        // Split the pivot row out so other rows can be updated without
-        // aliasing the borrow.
-        let (before, rest) = self.a.split_at_mut(pr * n);
-        let (prow, after) = rest.split_at_mut(n);
-        for (ri, row) in before.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for &c in nz.iter() {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0; // exact zero to contain drift
-                self.rhs[ri] -= f * rhs_pr;
+        // The rows to eliminate and their multipliers `f = a[r][pc]`.
+        if let Ok(i) = self.col.binary_search(&pr) {
+            self.col.remove(i);
+        }
+        let entering = &self.a[pc * m..(pc + 1) * m];
+        self.fv.clear();
+        self.fv.extend(self.col.iter().map(|&r| entering[r]));
+        for (&c, &v) in self.nz.iter().zip(&self.pv) {
+            if c == pc {
+                continue; // zeroed below
+            }
+            let column = &mut self.a[c * m..(c + 1) * m];
+            for (&r, &f) in self.col.iter().zip(&self.fv) {
+                column[r] -= f * v;
             }
         }
-        for (ri, row) in after.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for &c in nz.iter() {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0;
-                self.rhs[pr + 1 + ri] -= f * rhs_pr;
-            }
+        for (&r, &f) in self.col.iter().zip(&self.fv) {
+            self.a[pc * m + r] = 0.0; // exact zero to contain drift
+            self.rhs[r] -= f * rhs_pr;
         }
         self.basis[pr] = pc;
+    }
+}
+
+/// The buffers of an LP solve, reused across solves: the tableau, the
+/// column map and the row plan. Branch-and-bound keeps one per search,
+/// so its node LPs allocate nothing but their solutions.
+#[derive(Debug, Default)]
+pub(crate) struct LpWorkspace {
+    t: Tableau,
+    map: Vec<ColMap>,
+    /// Tableau structural column → problem column (`usize::MAX` if none).
+    rev: Vec<usize>,
+    /// Kept rows in tableau order, with their shifted right-hand sides.
+    rows: Vec<(RowSource, Sense, f64)>,
+    /// Per-structural-column accumulator, all zeros between uses.
+    acc: Vec<f64>,
+    cost: Vec<f64>,
+    /// Reduced costs, maintained as an explicit objective row.
+    z: Vec<f64>,
+    /// Pivots made by the last solve, whatever its outcome.
+    pivots: usize,
+}
+
+impl LpWorkspace {
+    /// Pivots made by the last solve, counted like
+    /// [`LpSolution::iterations`] but also when the solve ended
+    /// infeasible, unbounded, or interrupted by its budget.
+    pub(crate) fn pivots(&self) -> usize {
+        self.pivots
     }
 }
 
@@ -219,11 +341,18 @@ impl Tableau {
 /// use [`solve_lp_with`], which reports such stalls as
 /// [`SolveError::Numerical`] instead.
 pub fn solve_lp(p: &LpProblem) -> LpOutcome {
-    // A fresh unlimited budget cannot trip, so the only possible error is
-    // unreachable; Infeasible is the safe fallback if it ever were not.
-    solve_lp_impl(p, &Budget::unlimited(), false, None)
-        .map(|r| r.outcome)
-        .unwrap_or(LpOutcome::Infeasible)
+    // A fresh unlimited budget cannot trip, so the only possible errors
+    // are an unallocatable tableau or the unreachable; Infeasible is the
+    // safe fallback.
+    solve_lp_impl(
+        p,
+        &Budget::unlimited(),
+        false,
+        None,
+        &mut LpWorkspace::default(),
+    )
+    .map(|r| r.outcome)
+    .unwrap_or(LpOutcome::Infeasible)
 }
 
 /// Solves the LP under a [`Budget`], with strict stall detection.
@@ -234,9 +363,10 @@ pub fn solve_lp(p: &LpProblem) -> LpOutcome {
 ///   tripped mid-solve (one tick is spent per simplex pivot);
 /// * [`SolveError::Cancelled`] — the budget's cancel token fired;
 /// * [`SolveError::Numerical`] — the pivot cap was exhausted without
-///   convergence (a stall or cycling even Bland's rule did not resolve).
+///   convergence (a stall or cycling even Bland's rule did not resolve);
+/// * [`SolveError::BadModel`] — the tableau is too large to allocate.
 pub fn solve_lp_with(p: &LpProblem, budget: &Budget) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, true, None).map(|r| r.outcome)
+    solve_lp_in(p, budget, None, &mut LpWorkspace::default()).map(|r| r.outcome)
 }
 
 /// Solves the LP under a [`Budget`] with an optional basis hint, and
@@ -259,7 +389,19 @@ pub fn solve_lp_warm(
     budget: &Budget,
     hint: Option<&LpBasis>,
 ) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, true, hint)
+    solve_lp_in(p, budget, hint, &mut LpWorkspace::default())
+}
+
+/// [`solve_lp_warm`] in a caller-owned workspace; afterwards
+/// [`LpWorkspace::pivots`] holds the pivots the solve made, also when it
+/// returns an error.
+pub(crate) fn solve_lp_in(
+    p: &LpProblem,
+    budget: &Budget,
+    hint: Option<&LpBasis>,
+    ws: &mut LpWorkspace,
+) -> Result<WarmLpResult, SolveError> {
+    solve_lp_impl(p, budget, true, hint, ws)
 }
 
 fn solve_lp_impl(
@@ -267,7 +409,9 @@ fn solve_lp_impl(
     budget: &Budget,
     strict: bool,
     hint: Option<&LpBasis>,
+    ws: &mut LpWorkspace,
 ) -> Result<WarmLpResult, SolveError> {
+    ws.pivots = 0;
     let ncols = p.num_cols();
     // Early exits happen before any tableau exists; they carry an empty
     // basis (nothing useful to hand to the next solve).
@@ -283,9 +427,9 @@ fn solve_lp_impl(
     }
 
     // --- Build the column map and count tableau columns. ---
-    let mut map = Vec::with_capacity(ncols);
+    let map = &mut ws.map;
+    map.clear();
     let mut next = 0usize;
-    let mut ub_rows = 0usize;
     for j in 0..ncols {
         let (lo, hi) = (p.lo[j], p.hi[j]);
         if lo == hi {
@@ -293,19 +437,8 @@ fn solve_lp_impl(
         } else if lo.is_finite() {
             map.push(ColMap::Shifted { col: next, lo });
             next += 1;
-            if hi.is_finite() {
-                ub_rows += 1;
-            }
-        } else if hi.is_finite() {
-            // x <= hi with free lower end: substitute x = hi - y, y >= 0.
-            // Model as shifted with negated column; simpler: split.
-            map.push(ColMap::Split {
-                plus: next,
-                minus: next + 1,
-            });
-            next += 2;
-            ub_rows += 1;
         } else {
+            // Free lower end (upper bound finite or not): split.
             map.push(ColMap::Split {
                 plus: next,
                 minus: next + 1,
@@ -315,27 +448,54 @@ fn solve_lp_impl(
     }
     let nstruct = next;
 
-    // --- Assemble rows: user rows plus upper-bound rows. ---
-    // Each row: dense coefficient vec over nstruct, sense, rhs.
-    let total_rows = p.rows.len() + ub_rows;
-    let mut rows: Vec<(Vec<f64>, Sense, f64)> = Vec::with_capacity(total_rows);
-    for (terms, sense, rhs) in &p.rows {
-        let mut dense = vec![0.0; nstruct];
+    // --- Pass 1: plan the rows (user rows, then upper-bound rows). ---
+    // Each kept row gets its shifted rhs; its coefficients are summed in
+    // `acc` (then zeroed again) only to tell whether any survives.
+    let rows = &mut ws.rows;
+    rows.clear();
+    let acc = &mut ws.acc;
+    acc.clear();
+    acc.resize(nstruct, 0.0);
+    for (i, (terms, sense, rhs)) in p.rows.iter().enumerate() {
         let mut b = *rhs;
         for &(j, coeff) in terms {
             match map[j] {
                 ColMap::Shifted { col, lo } => {
-                    dense[col] += coeff;
+                    acc[col] += coeff;
                     b -= coeff * lo;
                 }
                 ColMap::Split { plus, minus } => {
-                    dense[plus] += coeff;
-                    dense[minus] -= coeff;
+                    acc[plus] += coeff;
+                    acc[minus] -= coeff;
                 }
                 ColMap::Fixed { value } => b -= coeff * value,
             }
         }
-        rows.push((dense, *sense, b));
+        let mut vacuous = true;
+        for &(j, _) in terms {
+            let cols = match map[j] {
+                ColMap::Shifted { col, .. } => [col, col],
+                ColMap::Split { plus, minus } => [plus, minus],
+                ColMap::Fixed { .. } => continue,
+            };
+            for c in cols {
+                vacuous &= acc[c] == 0.0;
+                acc[c] = 0.0;
+            }
+        }
+        if !vacuous {
+            rows.push((RowSource::User(i), *sense, b));
+            continue;
+        }
+        // 0 {sense} b: a violated vacuous row makes the LP infeasible.
+        let ok = match sense {
+            Sense::Le => b >= -FEAS_TOL,
+            Sense::Ge => b <= FEAS_TOL,
+            Sense::Eq => b.abs() <= FEAS_TOL,
+        };
+        if !ok {
+            return Ok(bare(LpOutcome::Infeasible));
+        }
     }
     for j in 0..ncols {
         let hi = p.hi[j];
@@ -343,47 +503,18 @@ fn solve_lp_impl(
             continue;
         }
         match map[j] {
-            ColMap::Shifted { col, lo } => {
-                let mut dense = vec![0.0; nstruct];
-                dense[col] = 1.0;
-                rows.push((dense, Sense::Le, hi - lo));
-            }
-            ColMap::Split { plus, minus } => {
-                let mut dense = vec![0.0; nstruct];
-                dense[plus] = 1.0;
-                dense[minus] = -1.0;
-                rows.push((dense, Sense::Le, hi));
-            }
+            ColMap::Shifted { lo, .. } => rows.push((RowSource::Upper(j), Sense::Le, hi - lo)),
+            ColMap::Split { .. } => rows.push((RowSource::Upper(j), Sense::Le, hi)),
             ColMap::Fixed { .. } => {}
         }
-    }
-
-    // Rows that are vacuous (all-zero lhs) are resolved immediately.
-    rows.retain(|(dense, sense, b)| {
-        if dense.iter().any(|&c| c != 0.0) {
-            return true;
-        }
-        // 0 {sense} b — keep only to detect infeasibility below via flag.
-        let ok = match sense {
-            Sense::Le => *b >= -FEAS_TOL,
-            Sense::Ge => *b <= FEAS_TOL,
-            Sense::Eq => b.abs() <= FEAS_TOL,
-        };
-        !ok // keep violated vacuous rows; they force infeasibility
-    });
-    if rows
-        .iter()
-        .any(|(dense, _, _)| dense.iter().all(|&c| c == 0.0))
-    {
-        return Ok(bare(LpOutcome::Infeasible));
     }
 
     let m = rows.len();
     // Count slacks and artificials.
     let mut nslack = 0usize;
     let mut nart = 0usize;
-    for (_, sense, b) in &rows {
-        let bneg = *b < 0.0;
+    for &(_, sense, b) in rows.iter() {
+        let bneg = b < 0.0;
         match (sense, bneg) {
             (Sense::Le, false) => nslack += 1, // +slack basic
             (Sense::Le, true) => {
@@ -399,21 +530,41 @@ fn solve_lp_impl(
         }
     }
     let n = nstruct + nslack + nart;
-    let mut t = Tableau {
-        m,
-        n,
-        a: vec![0.0; m * n],
-        rhs: vec![0.0; m],
-        basis: vec![usize::MAX; m],
-    };
-    let mut art_cols: Vec<usize> = Vec::with_capacity(nart);
+    // Artificial columns are the contiguous range `art_start..n`.
+    let art_start = nstruct + nslack;
+
+    // --- Pass 2: write the rows straight into the zeroed tableau. ---
+    let t = &mut ws.t;
+    t.reset(m, n)?;
     let mut sc = nstruct; // next slack column
-    let mut ac = nstruct + nslack; // next artificial column
-    for (r, (dense, sense, b)) in rows.iter().enumerate() {
-        let neg = *b < 0.0;
+    let mut ac = art_start; // next artificial column
+    for (r, &(source, sense, b)) in rows.iter().enumerate() {
+        let neg = b < 0.0;
         let sgn = if neg { -1.0 } else { 1.0 };
-        for c in 0..nstruct {
-            t.a[r * n + c] = sgn * dense[c];
+        // Entry `(r, c)` of the column-major tableau.
+        let at = |c: usize| c * m + r;
+        let a = &mut t.a;
+        match source {
+            RowSource::User(i) => {
+                for &(j, coeff) in &p.rows[i].0 {
+                    match map[j] {
+                        ColMap::Shifted { col, .. } => a[at(col)] += sgn * coeff,
+                        ColMap::Split { plus, minus } => {
+                            a[at(plus)] += sgn * coeff;
+                            a[at(minus)] -= sgn * coeff;
+                        }
+                        ColMap::Fixed { .. } => {}
+                    }
+                }
+            }
+            RowSource::Upper(j) => match map[j] {
+                ColMap::Shifted { col, .. } => a[at(col)] = sgn,
+                ColMap::Split { plus, minus } => {
+                    a[at(plus)] = sgn;
+                    a[at(minus)] = -sgn;
+                }
+                ColMap::Fixed { .. } => {}
+            },
         }
         t.rhs[r] = sgn * b;
         let eff_sense = match (sense, neg) {
@@ -423,22 +574,20 @@ fn solve_lp_impl(
         };
         match eff_sense {
             Sense::Le => {
-                t.a[r * n + sc] = 1.0;
+                a[at(sc)] = 1.0;
                 t.basis[r] = sc;
                 sc += 1;
             }
             Sense::Ge => {
-                t.a[r * n + sc] = -1.0;
+                a[at(sc)] = -1.0;
                 sc += 1;
-                t.a[r * n + ac] = 1.0;
+                a[at(ac)] = 1.0;
                 t.basis[r] = ac;
-                art_cols.push(ac);
                 ac += 1;
             }
             Sense::Eq => {
-                t.a[r * n + ac] = 1.0;
+                a[at(ac)] = 1.0;
                 t.basis[r] = ac;
-                art_cols.push(ac);
                 ac += 1;
             }
         }
@@ -446,7 +595,9 @@ fn solve_lp_impl(
 
     // Reverse map: tableau structural column → problem column, used for
     // basis export and for applying a basis hint.
-    let mut rev = vec![usize::MAX; nstruct];
+    let rev = &mut ws.rev;
+    rev.clear();
+    rev.resize(nstruct, usize::MAX);
     for j in 0..ncols {
         match map[j] {
             ColMap::Shifted { col, .. } => rev[col] = j,
@@ -458,10 +609,9 @@ fn solve_lp_impl(
         }
     }
 
-    let mut iterations = 0usize;
+    let iterations = &mut ws.pivots;
+    let z = &mut ws.z;
     let mut crash_pivots = 0usize;
-    // Sparse sweep's reusable pivot-row nonzero list.
-    let mut nz: Vec<usize> = Vec::new();
 
     // --- Crash the hinted basis in before phase 1. ---
     // Forced-entering pivots with the usual ratio test: the rhs stays
@@ -469,7 +619,6 @@ fn solve_lp_impl(
     // matter how stale the hint is. On a good hint this drives the
     // artificials out up front and phase 1 terminates immediately.
     if let Some(hint) = hint {
-        let art_start = nstruct + nslack;
         for &j in &hint.cols {
             if j >= ncols {
                 continue; // hint from a differently-shaped model
@@ -484,8 +633,11 @@ fn solve_lp_impl(
             }
             let mut pr = usize::MAX;
             let mut best_ratio = f64::INFINITY;
-            for r in 0..m {
-                let a = t.at(r, pc);
+            t.col.clear();
+            for (r, &a) in t.a[pc * m..(pc + 1) * m].iter().enumerate() {
+                if a != 0.0 {
+                    t.col.push(r);
+                }
                 if a <= PIVOT_TOL {
                     continue;
                 }
@@ -505,19 +657,19 @@ fn solve_lp_impl(
                 continue; // no feasibility-preserving pivot for this column
             }
             budget.tick().map_err(SolveError::from)?;
-            t.pivot(pr, pc, &mut nz);
+            t.pivot(pr, pc);
             crash_pivots += 1;
-            iterations += 1;
+            *iterations += 1;
         }
     }
 
     // --- Phase 1: minimize sum of artificials. ---
-    if !art_cols.is_empty() {
-        let mut cost = vec![0.0; n];
-        for &c in &art_cols {
-            cost[c] = 1.0;
-        }
-        match run_simplex(&mut t, &cost, &mut iterations, budget).map_err(SolveError::from)? {
+    let cost = &mut ws.cost;
+    if nart > 0 {
+        cost.clear();
+        cost.resize(n, 0.0);
+        cost[art_start..].fill(1.0);
+        match run_simplex(t, cost, z, iterations, budget).map_err(SolveError::from)? {
             SimplexEnd::Optimal => {}
             SimplexEnd::Unbounded => return Ok(bare(LpOutcome::Infeasible)), // cannot happen; safe
             SimplexEnd::Stalled if strict => {
@@ -531,7 +683,7 @@ fn solve_lp_impl(
             .basis
             .iter()
             .zip(&t.rhs)
-            .filter(|(b, _)| art_cols.contains(b))
+            .filter(|(&b, _)| b >= art_start)
             .map(|(_, &v)| v)
             .sum();
         if phase1 > 1e-6 {
@@ -539,15 +691,16 @@ fn solve_lp_impl(
             // useful hint for the next (e.g. T+1) instance: export it.
             return Ok(WarmLpResult {
                 outcome: LpOutcome::Infeasible,
-                basis: export_basis(&t, &rev, nstruct),
+                basis: export_basis(t, rev, nstruct),
                 crash_pivots,
             });
         }
         // Drive remaining artificials out of the basis where possible.
         for r in 0..m {
-            if art_cols.contains(&t.basis[r]) {
-                if let Some(pc) = (0..nstruct + nslack).find(|&c| t.at(r, c).abs() > PIVOT_TOL) {
-                    t.pivot(r, pc, &mut nz);
+            if t.basis[r] >= art_start {
+                if let Some(pc) = (0..art_start).find(|&c| t.at(r, c).abs() > PIVOT_TOL) {
+                    t.scan_column(pc);
+                    t.pivot(r, pc);
                 }
                 // If no pivot exists the row is redundant (all zeros); the
                 // artificial stays basic at value 0 and is harmless as long
@@ -558,7 +711,8 @@ fn solve_lp_impl(
     }
 
     // --- Phase 2: minimize the real objective. ---
-    let mut cost = vec![0.0; n];
+    cost.clear();
+    cost.resize(n, 0.0);
     for j in 0..ncols {
         let cj = p.obj[j];
         if cj == 0.0 {
@@ -574,15 +728,14 @@ fn solve_lp_impl(
         }
     }
     // Forbid artificials from re-entering.
-    let art_start = nstruct + nslack;
-    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget)
+    match run_simplex_restricted(t, cost, z, art_start, iterations, budget)
         .map_err(SolveError::from)?
     {
         SimplexEnd::Optimal => {}
         SimplexEnd::Unbounded => {
             return Ok(WarmLpResult {
                 outcome: LpOutcome::Unbounded,
-                basis: export_basis(&t, &rev, nstruct),
+                basis: export_basis(t, rev, nstruct),
                 crash_pivots,
             })
         }
@@ -595,9 +748,12 @@ fn solve_lp_impl(
     }
 
     // --- Extract structural values. ---
-    let mut y = vec![0.0; n];
+    // `acc` is all zeros again after pass 1; it holds the basic values.
+    let y = acc;
     for r in 0..m {
-        y[t.basis[r]] = t.rhs[r];
+        if t.basis[r] < nstruct {
+            y[t.basis[r]] = t.rhs[r];
+        }
     }
     let mut x = vec![0.0; ncols];
     let mut objective = 0.0;
@@ -613,9 +769,9 @@ fn solve_lp_impl(
         outcome: LpOutcome::Optimal(LpSolution {
             x,
             objective,
-            iterations,
+            iterations: *iterations,
         }),
-        basis: export_basis(&t, &rev, nstruct),
+        basis: export_basis(t, rev, nstruct),
         crash_pivots,
     })
 }
@@ -644,11 +800,12 @@ enum SimplexEnd {
 fn run_simplex(
     t: &mut Tableau,
     cost: &[f64],
+    z: &mut Vec<f64>,
     iterations: &mut usize,
     budget: &Budget,
 ) -> Result<SimplexEnd, Exhaustion> {
     let n = t.n;
-    run_simplex_restricted(t, cost, n, iterations, budget)
+    run_simplex_restricted(t, cost, z, n, iterations, budget)
 }
 
 /// Simplex iterations with entering columns restricted to `0..col_limit`.
@@ -659,20 +816,36 @@ fn run_simplex(
 fn run_simplex_restricted(
     t: &mut Tableau,
     cost: &[f64],
+    z: &mut Vec<f64>,
     col_limit: usize,
     iterations: &mut usize,
     budget: &Budget,
 ) -> Result<SimplexEnd, Exhaustion> {
     let m = t.m;
     let n = t.n;
-    let mut nz: Vec<usize> = Vec::new();
-    // Reduced costs maintained as an explicit objective row.
-    let mut z = cost.to_vec();
+    // Reduced costs: the cost row minus each basic row times its cost,
+    // subtracted row by row in ascending order and skipping the exact
+    // zeros (a no-op but for the sign of a zero). The `(row, cost)` pairs
+    // borrow the column-scan scratch lists, free until the first pivot.
+    z.clear();
+    z.extend_from_slice(cost);
+    t.col.clear();
+    t.fv.clear();
     for r in 0..m {
         let cb = cost[t.basis[r]];
         if cb != 0.0 {
-            for c in 0..n {
-                z[c] -= cb * t.at(r, c);
+            t.col.push(r);
+            t.fv.push(cb);
+        }
+    }
+    if !t.col.is_empty() {
+        for (c, zc) in z.iter_mut().enumerate() {
+            let column = &t.a[c * m..(c + 1) * m];
+            for (&r, &cb) in t.col.iter().zip(&t.fv) {
+                let a = column[r];
+                if a != 0.0 {
+                    *zc -= cb * a;
+                }
             }
         }
     }
@@ -702,11 +875,15 @@ fn run_simplex_restricted(
         if pc == usize::MAX {
             return Ok(SimplexEnd::Optimal);
         }
-        // Ratio test.
+        // Ratio test, collecting the column's nonzero rows for the pivot.
         let mut pr = usize::MAX;
         let mut best_ratio = f64::INFINITY;
-        for r in 0..m {
-            let a = t.at(r, pc);
+        t.col.clear();
+        for (r, &a) in t.a[pc * m..(pc + 1) * m].iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            t.col.push(r);
             if a > PIVOT_TOL {
                 let ratio = t.rhs[r] / a;
                 if ratio < best_ratio - 1e-12
@@ -729,10 +906,10 @@ fn run_simplex_restricted(
         // Update the objective row, then pivot. The sweep skips the same
         // exact zeros in `z` that it skips in the tableau rows.
         let f = z[pc];
-        t.pivot(pr, pc, &mut nz);
+        t.pivot(pr, pc);
         if f != 0.0 {
-            for &c in &nz {
-                z[c] -= f * t.at(pr, c);
+            for (&c, &v) in t.nz.iter().zip(&t.pv) {
+                z[c] -= f * v;
             }
             z[pc] = 0.0;
         }
@@ -874,6 +1051,67 @@ mod tests {
             vec![2.0],
         );
         assert!(matches!(solve_lp(&p), LpOutcome::Infeasible));
+    }
+
+    #[test]
+    fn tableau_size_overflow_is_a_typed_error() {
+        assert_eq!(tableau_len(386, 505), Ok(386 * 505));
+        match tableau_len(usize::MAX, 2) {
+            Err(SolveError::BadModel(msg)) => assert!(msg.contains('×'), "{msg}"),
+            other => panic!("expected BadModel, got {other:?}"),
+        }
+        // The entry count fits in `usize` but its bytes do not: the
+        // reservation fails and is reported instead of aborting.
+        let mut t = Tableau::default();
+        match t.reset(usize::MAX / 16, 4) {
+            Err(SolveError::BadModel(msg)) => assert!(msg.contains("allocate"), "{msg}"),
+            other => panic!("expected BadModel, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_solves() {
+        // Shapes that grow, shrink and change sign pattern between solves.
+        let problems = [
+            lp(
+                vec![-5.0, -4.0],
+                vec![
+                    (vec![(0, 6.0), (1, 4.0)], Sense::Le, 24.0),
+                    (vec![(0, 1.0), (1, 2.0)], Sense::Le, 6.0),
+                ],
+                vec![0.0, 0.0],
+                vec![f64::INFINITY, f64::INFINITY],
+            ),
+            lp(vec![-1.0], vec![], vec![0.0], vec![7.0]),
+            lp(
+                vec![1.0, 1.0, 0.0],
+                vec![
+                    (vec![(0, 1.0), (1, 1.0)], Sense::Eq, 4.0),
+                    (vec![(2, -1.0), (0, 1.0)], Sense::Ge, -2.0),
+                ],
+                vec![1.0, 1.0, f64::NEG_INFINITY],
+                vec![3.0, f64::INFINITY, 5.0],
+            ),
+            lp(
+                vec![0.0],
+                vec![
+                    (vec![(0, 1.0)], Sense::Le, 1.0),
+                    (vec![(0, 1.0)], Sense::Ge, 2.0),
+                ],
+                vec![0.0],
+                vec![f64::INFINITY],
+            ),
+        ];
+        let budget = Budget::unlimited();
+        let mut ws = LpWorkspace::default();
+        for p in problems.iter().chain(problems.iter().rev()) {
+            let fresh = solve_lp_warm(p, &budget, None).expect("fresh solve");
+            let reused = solve_lp_in(p, &budget, None, &mut ws).expect("reused solve");
+            assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+            if let LpOutcome::Optimal(s) = &reused.outcome {
+                assert_eq!(s.iterations, ws.pivots());
+            }
+        }
     }
 
     #[test]
