@@ -5,30 +5,22 @@ use crate::matrix::CollisionMatrix;
 use crate::stats;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use swp_ddg::{Ddg, OpClass};
+use swp_ddg::OpClass;
 use swp_loops::fingerprint::machine_fingerprint;
-use swp_machine::{Machine, MachineError};
+use swp_machine::Machine;
 
 /// The CP engine's structural-conflict tables for one machine at one
-/// period: the pairwise [`CollisionMatrix`], the per-class
-/// forbidden-latency closure, and the per-unit packing capacity derived
-/// from it.
+/// period: the pairwise [`CollisionMatrix`] and the per-class
+/// forbidden-latency closure.
 #[derive(Debug)]
 pub struct HazardAutomaton {
     machine_fp: u64,
     period: u32,
     matrix: CollisionMatrix,
-    /// `capacity[class]`: max operations of `class` one physical unit
-    /// can carry per period without a stage collision. Equals
-    /// `ReservationTable::max_ops_per_period` (max independent set in
-    /// the circulant graph of the conflict vector).
-    capacity: Vec<u32>,
     /// `closure[class]`: the forbidden-latency closure anchored at
-    /// residue 0 — the OR of the conflict vector rotated to residue 0,
-    /// i.e. exactly the root `forbidden` mask the packing search
-    /// ([`max_ops_per_unit`]) starts from. Hoisted into the registry
-    /// entry so `res_mii` and the CP structural propagator
-    /// ([`Self::forbidden_closure`] / [`Self::or_forbidden_from`]) share
+    /// residue 0 — the OR of the conflict vector rotated to residue 0.
+    /// Stored on the registry entry so the CP structural propagator
+    /// ([`Self::forbidden_closure`] / [`Self::or_forbidden_from`]) reads
     /// one computation per `(machine, T)` instead of re-deriving it per
     /// node.
     closure: Vec<Box<[u64]>>,
@@ -47,26 +39,21 @@ impl HazardAutomaton {
     pub fn build(machine: &Machine, period: u32) -> Self {
         stats::count_memo_build();
         let matrix = CollisionMatrix::build(machine, period);
-        let mut capacity = Vec::with_capacity(matrix.num_classes());
-        let mut closure = Vec::with_capacity(matrix.num_classes());
-        for c in 0..matrix.num_classes() {
-            let class = OpClass::new(c);
-            let self_collides = matrix.self_collides(class).unwrap_or(true);
-            let conflict = matrix.conflict_vector(c);
-            // The forbidden-latency closure at residue 0 seeds both the
-            // packing search below and the CP propagator's word-parallel
-            // domain pruning; computing it once here is the whole point
-            // of storing it on the registry entry.
-            let mut root = vec![0u64; conflict.len()].into_boxed_slice();
-            bits::or_rotated(&mut root, conflict, 0, period);
-            capacity.push(max_ops_per_unit(conflict, &root, self_collides, period));
-            closure.push(root);
-        }
+        // The forbidden-latency closure at residue 0 seeds the CP
+        // propagator's word-parallel domain pruning; computing it once
+        // here is the point of storing it on the registry entry.
+        let closure = (0..matrix.num_classes())
+            .map(|c| {
+                let conflict = matrix.conflict_vector(c);
+                let mut root = vec![0u64; conflict.len()].into_boxed_slice();
+                bits::or_rotated(&mut root, conflict, 0, period);
+                root
+            })
+            .collect();
         HazardAutomaton {
             machine_fp: machine_fingerprint(machine),
             period,
             matrix,
-            capacity,
             closure,
         }
     }
@@ -109,18 +96,12 @@ impl HazardAutomaton {
         &self.matrix
     }
 
-    /// Max operations of `class` one unit carries per period, or `None`
-    /// for an unknown class.
-    pub fn max_ops_per_unit(&self, class: OpClass) -> Option<u32> {
-        self.capacity.get(class.index()).copied()
-    }
-
     /// The forbidden-latency closure of `class` anchored at residue 0:
     /// one bit per residue `d`, set iff an issue `d mod T` after an
     /// anchor issue on the same unit collides. Identical to the conflict
     /// vector closed under rotation to 0, precomputed at build time so
-    /// consumers (the `ResMII` refinement, the CP structural propagator)
-    /// never re-derive it per node. `None` for an unknown class.
+    /// the CP structural propagator never re-derives it per node. `None`
+    /// for an unknown class.
     pub fn forbidden_closure(&self, class: OpClass) -> Option<&[u64]> {
         self.closure.get(class.index()).map(|c| &**c)
     }
@@ -159,107 +140,9 @@ pub(crate) fn clear_registry_for_test() {
     }
 }
 
-/// Max independent set in the circulant graph `{r1 ~ r2 ⇔ C[(r1−r2) mod
-/// T] = 1}`: the exact number of operations one unit carries per
-/// period. Pairwise stage-disjointness is equivalent to joint
-/// disjointness (a cell is multiply claimed iff some *pair* claims it),
-/// so this matches `ReservationTable::max_ops_per_period` exactly —
-/// including its rotation-symmetry normalization (residue 0 is in some
-/// maximum packing, so it is fixed).
-fn max_ops_per_unit(conflict: &[u64], closure: &[u64], self_collides: bool, period: u32) -> u32 {
-    if self_collides {
-        return 0;
-    }
-    // `closure` is the hoisted root mask (conflict vector rotated to
-    // residue 0) shared with `HazardAutomaton::forbidden_closure`.
-    let mut best = 1u32;
-    pack_dfs(conflict, period, closure, 1, 1, &mut best);
-    best
-}
-
-fn pack_dfs(
-    conflict: &[u64],
-    period: u32,
-    forbidden: &[u64],
-    next: u32,
-    count: u32,
-    best: &mut u32,
-) {
-    for r in next..period {
-        // Even taking every remaining residue cannot beat the best.
-        if count + (period - r) <= *best {
-            return;
-        }
-        if bits::test(forbidden, r) {
-            continue;
-        }
-        let mut extended = forbidden.to_vec();
-        bits::or_rotated(&mut extended, conflict, r, period);
-        let new_count = count + 1;
-        if new_count > *best {
-            *best = new_count;
-        }
-        pack_dfs(conflict, period, &extended, r + 1, new_count, best);
-    }
-}
-
-/// The automaton-tightened resource bound `ResMII`: the counting bound
-/// advanced past every period where some class's operations provably
-/// cannot pack onto its units, with per-unit capacity read from the
-/// memoized automaton instead of a fresh reservation-table search.
-/// Structurally identical to [`Machine::t_res`] (same refinement loop,
-/// same `+64` cap), so the two always agree — checked by the fuzzer
-/// (property 5b) and pinned by the equivalence proptest.
-///
-/// # Errors
-///
-/// [`MachineError::UnknownClass`] if the DDG uses an undefined class.
-pub fn res_mii(machine: &Machine, ddg: &Ddg) -> Result<u32, MachineError> {
-    let mut bound = machine.t_res_counting(ddg)?;
-    let cap = bound + 64;
-    'refine: while bound < cap {
-        let automaton = HazardAutomaton::for_machine(machine, bound);
-        for class in ddg.classes() {
-            let fu = machine.fu_type(class)?;
-            let n_ops = ddg.nodes_of_class(class).len() as u32;
-            if n_ops == 0 {
-                continue;
-            }
-            let per_unit = automaton.max_ops_per_unit(class).unwrap_or(0);
-            if n_ops > fu.count * per_unit {
-                bound += 1;
-                continue 'refine;
-            }
-        }
-        break;
-    }
-    Ok(bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn capacity_matches_reservation_table_search() {
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            for period in 1u32..=12 {
-                let automaton = HazardAutomaton::build(&machine, period);
-                for (c, t) in machine.types().iter().enumerate() {
-                    assert_eq!(
-                        automaton.max_ops_per_unit(OpClass::new(c)),
-                        Some(t.reservation.max_ops_per_period(period)),
-                        "class {c} at T={period}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn registry_returns_shared_instances() {

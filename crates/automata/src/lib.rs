@@ -16,7 +16,7 @@
 //!   share a physical unit.
 //! * [`HazardAutomaton`] — the matrix for one `(machine, T)`, plus the
 //!   per-class forbidden-latency closure (the CP propagator's bulk
-//!   domain prune) and the per-unit packing capacity derived from it.
+//!   domain prune).
 //!   Construction is memoized per `(machine_fingerprint, T)` in a
 //!   process-wide registry ([`HazardAutomaton::for_machine`]), so a
 //!   corpus run builds each automaton once and every loop shares it.
@@ -24,10 +24,9 @@
 //! The CP engine is the only consumer. The IMS slot probe, the
 //! branch-and-bound search and the independent checker all scan the
 //! reservation tables directly, so verification shares nothing with
-//! these tables. [`res_mii`] recomputes the packing bound from the
-//! automaton's capacities; the fuzzer checks it against
-//! `Machine::t_res`. [`stats`] counts registry hits and builds for
-//! harness telemetry.
+//! these tables. Per-unit packing capacity is not derived here: every
+//! engine reads `ReservationTable::max_ops_per_period`. [`stats`] counts
+//! registry hits and builds for harness telemetry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +36,6 @@ mod bits;
 mod matrix;
 pub mod stats;
 
-pub use automaton::{res_mii, HazardAutomaton};
+pub use automaton::HazardAutomaton;
 pub use matrix::CollisionMatrix;
 pub use stats::OracleCounters;

@@ -1,11 +1,10 @@
-//! The properties the CP engine relies on: collision-matrix bits are
-//! exactly the naive reservation-table scan verdicts, and the packing
-//! capacity behind `res_mii` equals the machine's exact bound, on random
-//! machines and random periods.
+//! The property the CP engine relies on: collision-matrix bits are
+//! exactly the naive reservation-table scan verdicts, on random machines
+//! and random periods.
 
 use proptest::prelude::*;
-use swp_automata::{res_mii, CollisionMatrix};
-use swp_ddg::{Ddg, OpClass};
+use swp_automata::CollisionMatrix;
+use swp_ddg::OpClass;
 use swp_machine::{FuType, Machine, ReservationTable};
 
 /// Arbitrary well-formed reservation table (1–4 stages, 1–6 columns,
@@ -75,20 +74,5 @@ proptest! {
                 Some(!fu.reservation.modulo_feasible(t))
             );
         }
-    }
-
-    /// The automaton's `res_mii` (forbidden-latency closure) equals the
-    /// machine's exact packing-refined `T_res` on random edge-free DDGs.
-    #[test]
-    fn res_mii_matches_exact_packing_bound(
-        machine in arb_machine(),
-        raw in proptest::collection::vec(0usize..3, 1..8),
-    ) {
-        let num_classes = machine.types().len();
-        let mut ddg = Ddg::new();
-        for (i, &c) in raw.iter().enumerate() {
-            ddg.add_node(format!("n{i}"), OpClass::new(c % num_classes), 1);
-        }
-        prop_assert_eq!(res_mii(&machine, &ddg), machine.t_res(&ddg));
     }
 }

@@ -1,8 +1,6 @@
-//! Solver-substrate micro-benchmarks: f64 simplex, branch-and-bound,
-//! and the exact rational path on the same instance.
+//! Solver-substrate micro-benchmarks: f64 simplex and branch-and-bound.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use swp_milp::exact::{solve_lp_exact, ExactLp};
 use swp_milp::simplex::{solve_lp, LpProblem};
 use swp_milp::{Model, Sense};
 
@@ -32,11 +30,6 @@ fn bench_simplex(c: &mut Criterion) {
             b.iter(|| solve_lp(std::hint::black_box(&p)));
         });
     }
-    let p = lp(10);
-    let e = ExactLp::from_f64_problem(&p);
-    c.bench_function("simplex_exact_10x10", |b| {
-        b.iter(|| solve_lp_exact(std::hint::black_box(&e)));
-    });
 }
 
 fn bench_bnb(c: &mut Criterion) {

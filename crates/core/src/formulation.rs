@@ -276,7 +276,10 @@ pub fn build_with(
                 return Err(ScheduleError::PeriodInfeasible { period });
             }
             // Packing pre-check: pigeonhole facts the LP cannot see.
-            if packing_bound && (members.len() as u32) > fu.count * rt.max_ops_per_period(period) {
+            if packing_bound
+                && members.len() as u64
+                    > u64::from(fu.count) * u64::from(rt.max_ops_per_period(period))
+            {
                 return Err(ScheduleError::PeriodInfeasible { period });
             }
         }

@@ -231,7 +231,8 @@ pub struct RaceReport {
 pub enum PeriodOutcome {
     /// A schedule was found (and passed the independent re-check).
     Feasible(SolvedBy),
-    /// The ILP proved no schedule exists at this period.
+    /// An exact engine (the ILP or the CP backend) proved no schedule
+    /// exists at this period.
     Infeasible,
     /// Rejected before solving (modulo constraint / self-loop test).
     RejectedAtBuild,
@@ -276,7 +277,8 @@ pub struct PeriodAttempt {
 pub struct SolverStats {
     /// Simplex iterations (pivots) across all attempted periods.
     pub lp_iterations: u64,
-    /// Branch-and-bound nodes across all attempted periods.
+    /// Search nodes across all attempted periods: ILP branch-and-bound
+    /// nodes plus CP search nodes.
     pub bb_nodes: u64,
     /// Candidate periods attempted (including build-time rejections).
     pub periods_attempted: u32,
@@ -286,8 +288,8 @@ pub struct SolverStats {
     pub cp_feasible: u32,
     /// Periods settled feasible by the IMS certificate.
     pub heuristic_feasible: u32,
-    /// Periods proven infeasible (exact refutations, either by the ILP or
-    /// at formulation build time).
+    /// Periods proven infeasible (exact refutations by the ILP or the CP
+    /// backend, or rejections at formulation build time).
     pub refuted: u32,
     /// Periods left undecided by a time/tick budget trip.
     pub timeouts: u32,
@@ -484,7 +486,8 @@ impl ScheduleResult {
         self.optimality.is_proven()
     }
 
-    /// Total branch-and-bound nodes over all attempted periods.
+    /// Total search nodes over all attempted periods (ILP
+    /// branch-and-bound nodes plus CP search nodes).
     pub fn total_nodes(&self) -> u64 {
         self.attempts.iter().map(|a| a.nodes).sum()
     }

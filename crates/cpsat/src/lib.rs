@@ -26,8 +26,9 @@
 //!    distinct colors; members forced onto one unit prune each other's
 //!    offset domains word-parallel via the rotated closure mask
 //!    ([`swp_automata::HazardAutomaton::or_forbidden_from`]); and a
-//!    per-unit pigeonhole bounds each unit's load by the closure-derived
-//!    packing capacity.
+//!    per-unit pigeonhole bounds each unit's load by the reservation
+//!    table's packing capacity (`ReservationTable::max_ops_per_period`,
+//!    the same number the root packing rejection uses).
 //!
 //! Dead ends record **no-goods** (refuted decision prefixes, kept
 //! short) that later branches consult before cloning a state, so the
@@ -205,7 +206,8 @@ struct ClassInfo {
     /// Whether the ILP would emit coloring for this class (count ≥ 2,
     /// ≥ 2 members, unclean table) — the CP model colors exactly those.
     colored: bool,
-    /// Max ops one unit carries per period (from the automaton).
+    /// Max ops one unit carries per period
+    /// (`ReservationTable::max_ops_per_period`).
     capacity: u32,
     /// Reservation-stage offsets, empty stages dropped.
     stage_offsets: Vec<Vec<u32>>,
@@ -1036,8 +1038,9 @@ pub fn solve_at_warm(
         if !rt.modulo_feasible(period) {
             return Ok((CpOutcome::Infeasible, stats));
         }
-        if options.packing_bound && members.len() as u32 > fu.count * rt.max_ops_per_period(period)
-        {
+        let capacity = rt.max_ops_per_period(period);
+        let class_slots = u64::from(fu.count) * u64::from(capacity);
+        if options.packing_bound && members.len() as u64 > class_slots {
             return Ok((CpOutcome::Infeasible, stats));
         }
         let is_colored = fu.count >= 2 && members.len() >= 2 && !rt.is_clean();
@@ -1060,7 +1063,7 @@ pub fn solve_at_warm(
             class,
             count: fu.count,
             colored: is_colored,
-            capacity: automaton.max_ops_per_unit(class).unwrap_or(1),
+            capacity,
             stage_offsets,
             members,
         });

@@ -19,9 +19,8 @@
 //!    `II ≥` proven `T`;
 //! 4. no configuration *refutes* (proves infeasible) a period another
 //!    configuration certified feasible;
-//! 5. accepted periods respect `max(T_dep, T_res)`, and the hazard-
-//!    automaton `res_mii` (built from the capacities the CP engine
-//!    prunes with) equals the exact `Machine::t_res`;
+//! 5. accepted periods respect `max(T_dep, T_res)`, and every
+//!    configuration reports the same `T_dep`/`T_res`;
 //! 6. guaranteed-schedulable cases that run to completion (no budget
 //!    trips) must schedule.
 //!
@@ -75,8 +74,7 @@ pub enum ViolationKind {
     /// An accepted period violates `max(T_dep, T_res)`, or a
     /// budget-exhausted bracket is inconsistent.
     BoundViolated,
-    /// Configurations disagree on `T_dep`/`T_res`, or the automaton
-    /// `res_mii` disagrees with the exact `t_res`.
+    /// Configurations disagree on `T_dep`/`T_res`.
     BoundsMismatch,
     /// An engine returned an internal-invariant error
     /// (verification failure, mapping gap, solver breakdown).
@@ -388,21 +386,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     let faulted = opts.faults != FaultPlan::default();
     let mut violations: Vec<Violation> = Vec::new();
 
-    // Property 5b: the automaton resource bound is the exact one.
     let t_res = case.machine.t_res(&case.ddg).unwrap_or(0);
-    match swp_automata::res_mii(&case.machine, &case.ddg) {
-        Ok(auto_bound) if auto_bound == t_res => {}
-        Ok(auto_bound) => violations.push(Violation {
-            kind: ViolationKind::BoundsMismatch,
-            config: "res_mii".to_string(),
-            details: format!("automaton res_mii {auto_bound} != exact t_res {t_res}"),
-        }),
-        Err(e) => violations.push(Violation {
-            kind: ViolationKind::EngineError,
-            config: "res_mii".to_string(),
-            details: format!("res_mii failed: {e}"),
-        }),
-    }
     let t_dep = case.ddg.t_dep().unwrap_or(0);
     let t_lb = t_dep.max(t_res);
 
@@ -446,7 +430,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         driver_outcomes.push((i, outcome));
     }
 
-    // Property 1: accepted schedules verify. Property 5a: bounds hold.
+    // Property 1: accepted schedules verify. Property 5: bounds hold.
     for (i, outcome) in &driver_outcomes {
         let name = SCHEDULER_CONFIGS[*i].0;
         // Note: a fault-injected configuration gets no special

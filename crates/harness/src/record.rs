@@ -39,8 +39,9 @@ pub struct SuiteRunConfig {
     /// deadline — combine with [`per_loop_ticks`](Self::per_loop_ticks)
     /// for fully deterministic, machine-speed-independent runs.
     pub time_limit_per_t: Option<Duration>,
-    /// Deterministic per-loop tick cap (simplex pivots + B&B nodes + IMS
-    /// placements all count). `None` leaves ticks uncapped.
+    /// Deterministic per-loop tick cap (simplex pivots, B&B nodes, CP
+    /// search steps and IMS placements all count). `None` leaves ticks
+    /// uncapped.
     pub per_loop_ticks: Option<u64>,
     /// Stop at `T_lb + span`.
     pub max_t_above_lb: u32,
@@ -204,13 +205,15 @@ pub struct LoopRecord {
     pub outcome: SuiteOutcome,
     /// Whether every smaller period was refuted exactly (proven optimal).
     pub proven: bool,
-    /// Branch-and-bound nodes over all periods.
+    /// Search nodes over all periods: ILP branch-and-bound nodes plus
+    /// CP search nodes (the JSON key keeps its historical name).
     pub bb_nodes: u64,
     /// Simplex iterations over all periods.
     pub lp_iterations: u64,
-    /// Budget ticks consumed by this loop's solve (pivots + B&B nodes +
-    /// IMS placements). Exact and deterministic when the harness runs
-    /// with isolated per-loop budgets (the default).
+    /// Budget ticks consumed by this loop's solve (simplex pivots, B&B
+    /// nodes, CP search steps and IMS placements). Exact and
+    /// deterministic when the harness runs with isolated per-loop
+    /// budgets (the default).
     pub ticks: u64,
     /// Candidate periods attempted.
     pub periods_attempted: u32,

@@ -2,7 +2,7 @@
 //!
 //! Every corpus run aggregates its [`LoopRecord`]s into a
 //! [`RunSummary`]: outcome and engine mix, total solver effort (simplex
-//! pivots, branch-and-bound nodes, budget ticks), cache effectiveness,
+//! pivots, ILP and CP search nodes, budget ticks), cache effectiveness,
 //! and the split the satellite fix demands — summed per-loop solve time
 //! *versus* whole-run wall time, whose ratio is the realized parallel
 //! speedup.
@@ -59,11 +59,13 @@ pub struct RunSummary {
     pub race_ilp_wins: u64,
     /// Loops with at least one undecided (timed-out) period.
     pub with_timeout: usize,
-    /// Total branch-and-bound nodes.
+    /// Total search nodes: ILP branch-and-bound nodes plus CP search
+    /// nodes (the JSON key keeps its historical name).
     pub bb_nodes: u64,
     /// Total simplex iterations.
     pub lp_iterations: u64,
-    /// Total budget ticks (pivots + B&B nodes + IMS placements).
+    /// Total budget ticks (simplex pivots, B&B nodes, CP search steps
+    /// and IMS placements all count).
     pub ticks: u64,
     /// Summed warm-sweep reuse counters (all zeros for a cold run).
     pub reuse: RecordReuse,
@@ -193,7 +195,7 @@ impl RunSummary {
         }
         let _ = writeln!(
             out,
-            "effort: {} B&B nodes, {} simplex iterations, {} budget ticks",
+            "effort: {} search nodes, {} simplex iterations, {} budget ticks",
             self.bb_nodes, self.lp_iterations, self.ticks
         );
         if self.reuse.any() {

@@ -37,7 +37,7 @@ pub use checker::{
 };
 pub use collision::CollisionInfo;
 pub use machine::{BundleSpec, FuType, Machine, MachineError, SlotGroup};
-pub use parse::{parse_machine, write_machine, MachineParseError};
+pub use parse::{parse_machine, write_machine, MachineParseError, MAX_UNIT_FIELD};
 pub use restable::ReservationTable;
 pub use schedule::{Matrices, PipelinedSchedule, ValidationError};
 pub use sim::{simulate, SimError, SimReport, UnitPolicy};

@@ -304,11 +304,14 @@ impl Machine {
     pub fn classes_pack(&self, ddg: &Ddg, t: u32) -> Result<bool, MachineError> {
         for class in ddg.classes() {
             let fu = self.fu_type(class)?;
-            let n_ops = ddg.nodes_of_class(class).len() as u32;
+            let n_ops = ddg.nodes_of_class(class).len() as u64;
             if n_ops == 0 {
                 continue;
             }
-            if n_ops > fu.count * fu.reservation.max_ops_per_period(t) {
+            // In u64: a unit count near `u32::MAX` times a capacity
+            // would wrap in u32 and refute a period that packs.
+            let capacity = u64::from(fu.count) * u64::from(fu.reservation.max_ops_per_period(t));
+            if n_ops > capacity {
                 return Ok(false);
             }
         }
@@ -556,6 +559,24 @@ mod tests {
         // max(ceil(2*2/2), min_self_period=2) = 2.
         let m = Machine::example_pldi95();
         assert_eq!(m.t_res(&two_fp_ddg()).unwrap(), 2);
+    }
+
+    #[test]
+    fn packing_test_does_not_wrap_on_huge_unit_counts() {
+        // 2^31 units times a capacity of 2 is 2^32: a u32 product would
+        // wrap to 0, refute T = 4 and 5, and give an unsound T_res = 6.
+        let unit = |name: &str, count: u32, d: u32| FuType {
+            name: name.into(),
+            count,
+            latency: d,
+            reservation: ReservationTable::non_pipelined(d),
+        };
+        let m = Machine::new(vec![unit("A", 1 << 31, 2), unit("B", 1, 4)]).unwrap();
+        let mut g = Ddg::new();
+        g.add_node("a", OpClass::new(0), 2);
+        g.add_node("b", OpClass::new(1), 4);
+        assert!(m.classes_pack(&g, 4).unwrap());
+        assert_eq!(m.t_res(&g).unwrap(), 4);
     }
 
     #[test]

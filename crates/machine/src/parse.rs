@@ -24,6 +24,10 @@
 //!
 //! `bundle` caps total issues per cycle; each `slot` line names a group
 //! capping the listed classes (comma-separated declaration indices).
+//!
+//! A description may come from an untrusted peer, and work and memory
+//! downstream grow with unit counts and latencies, so `count=` and
+//! `latency=` above [`MAX_UNIT_FIELD`] are parse errors.
 
 use crate::machine::{BundleSpec, FuType, Machine, SlotGroup};
 use crate::restable::ReservationTable;
@@ -46,6 +50,12 @@ impl fmt::Display for MachineParseError {
 }
 
 impl Error for MachineParseError {}
+
+/// The largest `count=` or `latency=` a unit line may carry. Bounds the
+/// per-period tables the schedulers allocate (a latency of `d` forces
+/// periods of at least `d` for a non-pipelined unit), while leaving unit
+/// counts far above the CP engine's 64-unit coloring limit reachable.
+pub const MAX_UNIT_FIELD: u32 = 1024;
 
 fn err(line: usize, message: impl Into<String>) -> MachineParseError {
     MachineParseError {
@@ -227,6 +237,17 @@ pub fn write_machine(name: &str, machine: &Machine) -> String {
     out
 }
 
+/// Parses a unit's `count=` / `latency=` value, capped at [`MAX_UNIT_FIELD`].
+fn parse_field(key: &str, v: &str, line_no: usize) -> Result<u32, MachineParseError> {
+    let n = v
+        .parse::<u32>()
+        .map_err(|_| err(line_no, format!("bad {key} `{v}`")))?;
+    if n > MAX_UNIT_FIELD {
+        return Err(err(line_no, format!("{key} {n} exceeds {MAX_UNIT_FIELD}")));
+    }
+    Ok(n)
+}
+
 fn parse_unit(line: &str, line_no: usize) -> Result<FuType, MachineParseError> {
     let rest = line
         .strip_prefix("unit")
@@ -249,15 +270,9 @@ fn parse_unit(line: &str, line_no: usize) -> Result<FuType, MachineParseError> {
     let mut shape: Option<&str> = None;
     for tok in head.split_whitespace() {
         if let Some(v) = tok.strip_prefix("count=") {
-            count = Some(
-                v.parse::<u32>()
-                    .map_err(|_| err(line_no, format!("bad count `{v}`")))?,
-            );
+            count = Some(parse_field("count", v, line_no)?);
         } else if let Some(v) = tok.strip_prefix("latency=") {
-            latency = Some(
-                v.parse::<u32>()
-                    .map_err(|_| err(line_no, format!("bad latency `{v}`")))?,
-            );
+            latency = Some(parse_field("latency", v, line_no)?);
         } else if tok == "clean" || tok == "nonpipelined" {
             if shape.is_some() {
                 return Err(err(line_no, format!("duplicate shape token `{tok}`")));
@@ -367,6 +382,25 @@ mod tests {
         assert!(e.message.contains("count"));
         let e = parse_machine("machine m {\n unit A count=1 latency=2\n}").unwrap_err();
         assert!(e.message.contains("clean"));
+    }
+
+    #[test]
+    fn unit_fields_are_capped() {
+        let unit = |fields: &str| parse_machine(&format!("machine m {{\n unit A {fields}\n}}"));
+        for fields in [
+            "count=2147483648 latency=1 clean",
+            "count=1 latency=4000000000 clean",
+            "count=1025 latency=1 clean",
+            "count=1 latency=1025 clean",
+        ] {
+            let e = unit(fields).unwrap_err();
+            assert_eq!(e.line, 2, "{fields}");
+            assert!(e.message.contains("exceeds 1024"), "{fields}: {e}");
+        }
+        // At the cap, and far above the CP engine's 64-unit coloring limit.
+        let (_, m) = unit("count=1024 latency=1024 nonpipelined").unwrap();
+        assert_eq!(m.types()[0].count, MAX_UNIT_FIELD);
+        assert!(unit("count=65 latency=3 table[X.. / .XX]").is_ok());
     }
 
     #[test]

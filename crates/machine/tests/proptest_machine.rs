@@ -21,6 +21,33 @@ fn arb_table() -> impl Strategy<Value = ReservationTable> {
     })
 }
 
+/// The most operations one unit hosts per period `t`, by trying every
+/// subset of issue residues: a subset packs iff no `(stage, cycle mod t)`
+/// cell is claimed twice (an op claiming one cell twice packs nowhere).
+fn brute_force_packing(rt: &ReservationTable, t: u32) -> u32 {
+    let t = t as usize;
+    let packs = |subset: u32| {
+        let mut used = vec![false; rt.stages() * t];
+        for o in (0..t).filter(|&o| subset & (1 << o) != 0) {
+            for s in 0..rt.stages() {
+                for l in rt.stage_offsets(s) {
+                    let cell = &mut used[s * t + (o + l) % t];
+                    if *cell {
+                        return false;
+                    }
+                    *cell = true;
+                }
+            }
+        }
+        true
+    };
+    (0..1u32 << t)
+        .filter(|&subset| packs(subset))
+        .map(u32::count_ones)
+        .max()
+        .unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -52,10 +79,13 @@ proptest! {
 
     /// Packing capacity is monotone in nothing but always bounded:
     /// 0 <= cap <= T, and cap >= 1 exactly when the table is
-    /// modulo-feasible at T.
+    /// modulo-feasible at T. It is also exactly the largest set of
+    /// issue residues whose stage cells are pairwise disjoint mod T,
+    /// found here by enumerating every residue subset.
     #[test]
-    fn packing_capacity_bounds(rt in arb_table(), t in 1u32..8) {
+    fn packing_capacity_bounds(rt in arb_table(), t in 1u32..=10) {
         let cap = rt.max_ops_per_period(t);
+        prop_assert_eq!(cap, brute_force_packing(&rt, t));
         prop_assert!(cap <= t);
         prop_assert_eq!(cap >= 1, rt.modulo_feasible(t));
         // Counting bound: cap * max_row_marks <= T when cap >= 1.

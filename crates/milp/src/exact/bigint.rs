@@ -308,30 +308,6 @@ impl BigInt {
             None
         }
     }
-
-    /// Exact conversion to `i128` when in range.
-    pub fn to_i128(&self) -> Option<i128> {
-        if self.mag.len() > 4 {
-            return None;
-        }
-        let mut v: u128 = 0;
-        for (i, &limb) in self.mag.iter().enumerate() {
-            v |= (limb as u128) << (32 * i);
-        }
-        if self.neg {
-            if v > 1u128 << 127 {
-                None
-            } else if v == 1u128 << 127 {
-                Some(i128::MIN)
-            } else {
-                Some(-(v as i128))
-            }
-        } else if v <= i128::MAX as u128 {
-            Some(v as i128)
-        } else {
-            None
-        }
-    }
 }
 
 impl From<i128> for BigInt {

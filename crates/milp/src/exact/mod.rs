@@ -8,9 +8,7 @@
 mod bigint;
 mod rational;
 mod simplex;
-mod smallrat;
 
 pub use bigint::BigInt;
 pub use rational::BigRat;
-pub use simplex::{solve_lp_exact, solve_lp_exact_dense, ExactLp, ExactOutcome};
-pub use smallrat::SmallRat;
+pub use simplex::{solve_lp_exact, ExactLp, ExactOutcome};

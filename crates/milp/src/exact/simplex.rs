@@ -2,27 +2,14 @@
 //!
 //! Mirrors the transformation pipeline of [`crate::simplex`] — shift or
 //! split variables to non-negativity, turn finite upper bounds into rows,
-//! add slacks and artificials, run two phases — but every number is exact
-//! and Bland's rule guarantees finite termination. Used to audit the
-//! `f64` path.
-//!
-//! Two implementations share the pipeline:
-//!
-//! * [`solve_lp_exact`] — the default: sparse `(column, coefficient)`
-//!   rows over [`SmallRat`] (`i128` fast path, [`BigRat`] overflow
-//!   escape) with a maintained reduced-cost row, so each pivot touches
-//!   only structural nonzeros.
-//! * [`solve_lp_exact_dense`] — the seed's dense [`BigRat`] tableau
-//!   with reduced costs recomputed per iteration.
-//!
-//! Both run textbook Bland over exact arithmetic, so their pivot
-//! sequences — and therefore outcomes, down to the exact optimum —
-//! are identical; the test suite asserts it.
+//! add slacks and artificials, run two phases — but every number is an
+//! exact [`BigRat`] in a dense tableau, and Bland's rule guarantees
+//! finite termination. Used to audit the `f64` path; slow by design.
 
 // Tableau arithmetic is clearer with explicit indices.
 #![allow(clippy::needless_range_loop)]
 
-use super::{BigRat, SmallRat};
+use super::BigRat;
 use crate::model::Sense;
 use crate::simplex::LpProblem;
 
@@ -126,398 +113,10 @@ fn column_map(p: &ExactLp) -> (Vec<ColMap>, usize, usize) {
     (map, next, ub_rows)
 }
 
-// ---------------------------------------------------------------------
-// Sparse SmallRat solver (the default).
-// ---------------------------------------------------------------------
-
-/// Sparse tableau: each row a column-sorted `(col, value)` list holding
-/// no exact zeros, so pivoting skips structural zeros entirely.
-struct SparseTab {
-    m: usize,
-    rows: Vec<Vec<(usize, SmallRat)>>,
-    rhs: Vec<SmallRat>,
-    basis: Vec<usize>,
-}
-
-fn row_find(row: &[(usize, SmallRat)], c: usize) -> Option<&SmallRat> {
-    row.binary_search_by_key(&c, |t| t.0)
-        .ok()
-        .map(|i| &row[i].1)
-}
-
-impl SparseTab {
-    /// `out = row − f·prow`, a merge of two column-sorted lists; values
-    /// that cancel exactly are dropped on the spot.
-    fn saxpy(
-        out: &mut Vec<(usize, SmallRat)>,
-        row: &[(usize, SmallRat)],
-        f: &SmallRat,
-        prow: &[(usize, SmallRat)],
-    ) {
-        out.clear();
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            match (row.get(i), prow.get(j)) {
-                (Some((c1, v)), Some((c2, p))) if c1 == c2 => {
-                    let v = v - &(f * p);
-                    if !v.is_zero() {
-                        out.push((*c1, v));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some((c1, v)), Some((c2, _))) if c1 < c2 => {
-                    out.push((*c1, v.clone()));
-                    i += 1;
-                }
-                (Some(_) | None, Some((c2, p))) => {
-                    let v = -&(f * p);
-                    if !v.is_zero() {
-                        out.push((*c2, v));
-                    }
-                    j += 1;
-                }
-                (Some((c1, v)), None) => {
-                    out.push((*c1, v.clone()));
-                    i += 1;
-                }
-                (None, None) => break,
-            }
-        }
-    }
-
-    /// Pivots on `(pr, pc)` and keeps the maintained reduced-cost row
-    /// `z` consistent (`z −= z[pc]·prow` after row normalization).
-    fn pivot(
-        &mut self,
-        pr: usize,
-        pc: usize,
-        z: &mut [SmallRat],
-        scratch: &mut Vec<(usize, SmallRat)>,
-    ) {
-        let inv = row_find(&self.rows[pr], pc).expect("pivot on zero").recip();
-        let mut prow = std::mem::take(&mut self.rows[pr]);
-        for t in &mut prow {
-            t.1 = &t.1 * &inv;
-        }
-        self.rhs[pr] = &self.rhs[pr] * &inv;
-        let rhs_pr = self.rhs[pr].clone();
-        for r in 0..self.m {
-            if r == pr {
-                continue;
-            }
-            let Some(f) = row_find(&self.rows[r], pc).cloned() else {
-                continue;
-            };
-            Self::saxpy(scratch, &self.rows[r], &f, &prow);
-            std::mem::swap(&mut self.rows[r], scratch);
-            self.rhs[r] = &self.rhs[r] - &(&f * &rhs_pr);
-        }
-        let zf = z[pc].clone();
-        if !zf.is_zero() {
-            for (c, v) in &prow {
-                z[*c] = &z[*c] - &(&zf * v);
-            }
-        }
-        self.rows[pr] = prow;
-        self.basis[pr] = pc;
-    }
-}
-
-/// Reduced costs `z_j = c_j − c_B B⁻¹ A_j` from scratch (phase starts).
-fn reduced_costs(t: &SparseTab, cost: &[SmallRat]) -> Vec<SmallRat> {
-    let mut z = cost.to_vec();
-    for r in 0..t.m {
-        let cb = cost[t.basis[r]].clone();
-        if cb.is_zero() {
-            continue;
-        }
-        for (c, v) in &t.rows[r] {
-            z[*c] = &z[*c] - &(&cb * v);
-        }
-    }
-    z
-}
-
 enum End {
     Optimal,
     Unbounded,
 }
-
-/// Bland's rule over the maintained reduced-cost row: lowest-index
-/// entering column with negative reduced cost (basic columns have
-/// exactly-zero reduced cost, so no basis test is needed), lowest-
-/// basis-index tie-break in the ratio test. Pivot-identical to the
-/// dense recomputed-cost loop because both arithmetics are exact.
-fn bland_sparse(
-    t: &mut SparseTab,
-    z: &mut [SmallRat],
-    col_limit: usize,
-    scratch: &mut Vec<(usize, SmallRat)>,
-) -> End {
-    loop {
-        let Some(pc) = (0..col_limit).find(|&c| z[c].is_negative()) else {
-            return End::Optimal;
-        };
-        let mut pr = None;
-        let mut best: Option<SmallRat> = None;
-        for r in 0..t.m {
-            let Some(a) = row_find(&t.rows[r], pc) else {
-                continue;
-            };
-            if a.is_positive() {
-                let ratio = &t.rhs[r] / a;
-                let take = match &best {
-                    None => true,
-                    Some(b) => {
-                        ratio < *b || (ratio == *b && pr.map_or(true, |p| t.basis[r] < t.basis[p]))
-                    }
-                };
-                if take {
-                    best = Some(ratio);
-                    pr = Some(r);
-                }
-            }
-        }
-        let Some(pr) = pr else {
-            return End::Unbounded;
-        };
-        t.pivot(pr, pc, z, scratch);
-    }
-}
-
-/// Solves `p` exactly over sparse [`SmallRat`] rows. See
-/// [`ExactOutcome`]; outcome-identical to [`solve_lp_exact_dense`].
-pub fn solve_lp_exact(p: &ExactLp) -> ExactOutcome {
-    let ncols = p.obj.len();
-    for j in 0..ncols {
-        if let (Some(lo), Some(hi)) = (&p.lo[j], &p.hi[j]) {
-            if lo > hi {
-                return ExactOutcome::Infeasible;
-            }
-        }
-    }
-    let (map, nstruct, ub_rows) = column_map(p);
-    let cvt = SmallRat::from_bigrat;
-    let fixed_val = |j: usize| p.lo[j].clone().expect("fixed has lo");
-
-    // Rows in standard form: accumulate (duplicate columns sum, exactly
-    // as the dense scatter does), sort by column, drop exact zeros.
-    let mut rows: Vec<(Vec<(usize, SmallRat)>, Sense, SmallRat)> =
-        Vec::with_capacity(p.rows.len() + ub_rows);
-    let mut push_row = |acc: Vec<(usize, SmallRat)>, sense: Sense, b: SmallRat| {
-        let mut acc = acc;
-        acc.sort_by_key(|t| t.0);
-        let mut merged: Vec<(usize, SmallRat)> = Vec::with_capacity(acc.len());
-        for (c, v) in acc {
-            match merged.last_mut() {
-                Some((lc, lv)) if *lc == c => *lv = &*lv + &v,
-                _ => merged.push((c, v)),
-            }
-        }
-        merged.retain(|t| !t.1.is_zero());
-        rows.push((merged, sense, b));
-    };
-    for (terms, sense, rhs) in &p.rows {
-        let mut acc = Vec::with_capacity(terms.len() + 1);
-        let mut b = cvt(rhs);
-        for (j, coeff) in terms {
-            let coeff = cvt(coeff);
-            match map[*j] {
-                ColMap::Shifted { col } => {
-                    let lo = cvt(&p.lo[*j].clone().expect("shifted has lo"));
-                    b = &b - &(&coeff * &lo);
-                    acc.push((col, coeff));
-                }
-                ColMap::Split { plus, minus } => {
-                    acc.push((plus, coeff.clone()));
-                    acc.push((minus, -&coeff));
-                }
-                ColMap::Fixed => b = &b - &(&coeff * &cvt(&fixed_val(*j))),
-            }
-        }
-        push_row(acc, *sense, b);
-    }
-    for j in 0..ncols {
-        let Some(hi) = &p.hi[j] else { continue };
-        match map[j] {
-            ColMap::Shifted { col } => {
-                let lo = p.lo[j].clone().expect("shifted has lo");
-                push_row(vec![(col, SmallRat::one())], Sense::Le, cvt(&(hi - &lo)));
-            }
-            ColMap::Split { plus, minus } => {
-                push_row(
-                    vec![(plus, SmallRat::one()), (minus, -&SmallRat::one())],
-                    Sense::Le,
-                    cvt(hi),
-                );
-            }
-            ColMap::Fixed => {}
-        }
-    }
-
-    // Vacuous rows.
-    let mut infeasible_vacuous = false;
-    rows.retain(|(terms, sense, b)| {
-        if !terms.is_empty() {
-            return true;
-        }
-        let ok = match sense {
-            Sense::Le => !b.is_negative(),
-            Sense::Ge => !b.is_positive(),
-            Sense::Eq => b.is_zero(),
-        };
-        if !ok {
-            infeasible_vacuous = true;
-        }
-        false
-    });
-    if infeasible_vacuous {
-        return ExactOutcome::Infeasible;
-    }
-
-    // Slacks and artificials, exactly as the dense path assigns them.
-    let m = rows.len();
-    let mut nslack = 0usize;
-    let mut nart = 0usize;
-    for (_, sense, b) in &rows {
-        let neg = b.is_negative();
-        match (sense, neg) {
-            (Sense::Le, false) | (Sense::Ge, true) => nslack += 1,
-            (Sense::Le, true) | (Sense::Ge, false) => {
-                nslack += 1;
-                nart += 1;
-            }
-            (Sense::Eq, _) => nart += 1,
-        }
-    }
-    let n = nstruct + nslack + nart;
-    let mut t = SparseTab {
-        m,
-        rows: Vec::with_capacity(m),
-        rhs: Vec::with_capacity(m),
-        basis: vec![usize::MAX; m],
-    };
-    let mut sc = nstruct;
-    let mut ac = nstruct + nslack;
-    for (r, (terms, sense, b)) in rows.into_iter().enumerate() {
-        let neg = b.is_negative();
-        let mut row: Vec<(usize, SmallRat)> = if neg {
-            terms.into_iter().map(|(c, v)| (c, -&v)).collect()
-        } else {
-            terms
-        };
-        t.rhs.push(if neg { -&b } else { b });
-        let eff = match (sense, neg) {
-            (Sense::Le, false) | (Sense::Ge, true) => Sense::Le,
-            (Sense::Ge, false) | (Sense::Le, true) => Sense::Ge,
-            (Sense::Eq, _) => Sense::Eq,
-        };
-        // Slack then artificial columns keep the row column-sorted:
-        // every structural col < sc < ac.
-        match eff {
-            Sense::Le => {
-                row.push((sc, SmallRat::one()));
-                t.basis[r] = sc;
-                sc += 1;
-            }
-            Sense::Ge => {
-                row.push((sc, -&SmallRat::one()));
-                sc += 1;
-                row.push((ac, SmallRat::one()));
-                t.basis[r] = ac;
-                ac += 1;
-            }
-            Sense::Eq => {
-                row.push((ac, SmallRat::one()));
-                t.basis[r] = ac;
-                ac += 1;
-            }
-        }
-        t.rows.push(row);
-    }
-    let art_start = nstruct + nslack;
-    let mut scratch = Vec::new();
-
-    // Phase 1.
-    if nart > 0 {
-        let mut cost = vec![SmallRat::zero(); n];
-        for c in art_start..n {
-            cost[c] = SmallRat::one();
-        }
-        let mut z = reduced_costs(&t, &cost);
-        match bland_sparse(&mut t, &mut z, n, &mut scratch) {
-            End::Optimal => {}
-            End::Unbounded => return ExactOutcome::Infeasible,
-        }
-        let mut phase1 = SmallRat::zero();
-        for r in 0..m {
-            if t.basis[r] >= art_start {
-                phase1 = &phase1 + &t.rhs[r];
-            }
-        }
-        if !phase1.is_zero() {
-            return ExactOutcome::Infeasible;
-        }
-        for r in 0..m {
-            if t.basis[r] >= art_start {
-                // Rows are column-sorted, so the first entry below the
-                // artificial range is the lowest-index nonzero — the
-                // same column the dense left-to-right scan pivots on.
-                if let Some(&(pc, _)) = t.rows[r].first().filter(|(c, _)| *c < art_start) {
-                    t.pivot(r, pc, &mut z, &mut scratch);
-                }
-            }
-        }
-    }
-
-    // Phase 2, artificials excluded from entering.
-    let mut cost = vec![SmallRat::zero(); n];
-    for j in 0..ncols {
-        if p.obj[j].is_zero() {
-            continue;
-        }
-        let c = cvt(&p.obj[j]);
-        match map[j] {
-            ColMap::Shifted { col } => cost[col] = &cost[col] + &c,
-            ColMap::Split { plus, minus } => {
-                cost[plus] = &cost[plus] + &c;
-                cost[minus] = &cost[minus] - &c;
-            }
-            ColMap::Fixed => {}
-        }
-    }
-    let mut z = reduced_costs(&t, &cost);
-    match bland_sparse(&mut t, &mut z, art_start, &mut scratch) {
-        End::Optimal => {}
-        End::Unbounded => return ExactOutcome::Unbounded,
-    }
-
-    // Extract.
-    let mut y = vec![BigRat::zero(); n];
-    for r in 0..m {
-        y[t.basis[r]] = t.rhs[r].to_bigrat();
-    }
-    let mut x = vec![BigRat::zero(); ncols];
-    let mut objective = BigRat::zero();
-    for j in 0..ncols {
-        x[j] = match map[j] {
-            ColMap::Shifted { col } => {
-                let lo = p.lo[j].clone().expect("shifted has lo");
-                &lo + &y[col]
-            }
-            ColMap::Split { plus, minus } => &y[plus] - &y[minus],
-            ColMap::Fixed => fixed_val(j),
-        };
-        objective += &(&p.obj[j] * &x[j]);
-    }
-    ExactOutcome::Optimal { x, objective }
-}
-
-// ---------------------------------------------------------------------
-// Dense BigRat solver (the seed implementation, kept as the reference
-// the sparse path is tested against).
-// ---------------------------------------------------------------------
 
 struct Tab {
     m: usize,
@@ -606,10 +205,9 @@ fn bland(t: &mut Tab, cost: &[BigRat], col_limit: usize) -> End {
     }
 }
 
-/// Solves `p` exactly over the dense [`BigRat`] tableau. See
-/// [`ExactOutcome`]; outcome-identical to (but slower than)
-/// [`solve_lp_exact`].
-pub fn solve_lp_exact_dense(p: &ExactLp) -> ExactOutcome {
+/// Solves `p` exactly over a dense [`BigRat`] tableau. See
+/// [`ExactOutcome`].
+pub fn solve_lp_exact(p: &ExactLp) -> ExactOutcome {
     let ncols = p.obj.len();
     for j in 0..ncols {
         if let (Some(lo), Some(hi)) = (&p.lo[j], &p.hi[j]) {
@@ -909,107 +507,145 @@ mod tests {
         }
     }
 
-    fn assert_same_outcome(p: &ExactLp) {
-        match (solve_lp_exact(p), solve_lp_exact_dense(p)) {
+    /// Solves `p` exactly (every coefficient is a small integer, so the
+    /// `f64` form converts exactly) and checks the outcome against the
+    /// hand-computed `want` and against the `f64` simplex.
+    fn assert_reaches(p: &crate::simplex::LpProblem, want: &ExactOutcome, case: usize) {
+        use crate::simplex::{solve_lp, LpOutcome};
+        let exact = solve_lp_exact(&ExactLp::from_f64_problem(p));
+        match (exact, want, solve_lp(p)) {
             (
                 ExactOutcome::Optimal { x, objective },
                 ExactOutcome::Optimal {
-                    x: xd,
-                    objective: od,
+                    x: wx,
+                    objective: wobj,
                 },
+                LpOutcome::Optimal(f),
             ) => {
-                assert_eq!(objective, od, "objective drifted");
-                assert_eq!(x, xd, "solution drifted");
+                assert_eq!(&x, wx, "case {case}: solution");
+                assert_eq!(&objective, wobj, "case {case}: objective");
+                assert!(
+                    (f.objective - wobj.to_f64()).abs() < 1e-9,
+                    "case {case}: f64"
+                );
             }
-            (ExactOutcome::Infeasible, ExactOutcome::Infeasible) => {}
-            (ExactOutcome::Unbounded, ExactOutcome::Unbounded) => {}
-            (s, d) => panic!("sparse {s:?} != dense {d:?}"),
+            (ExactOutcome::Infeasible, ExactOutcome::Infeasible, LpOutcome::Infeasible)
+            | (ExactOutcome::Unbounded, ExactOutcome::Unbounded, LpOutcome::Unbounded) => {}
+            (e, w, f) => panic!("case {case}: exact {e:?}, want {w:?}, f64 {f:?}"),
         }
     }
 
     #[test]
-    fn sparse_matches_dense_on_varied_forms() {
+    fn varied_forms_reach_their_known_optima() {
         // Exercise every transformation: free (split) columns, fixed
         // columns, finite upper bounds, negative rhs, all three senses,
         // duplicate terms on one column, and exact cancellation.
-        let cases = vec![
-            ExactLp {
-                obj: vec![r(-5), r(-4)],
-                rows: vec![
-                    (vec![(0, r(6)), (1, r(4))], Sense::Le, r(24)),
-                    (vec![(0, r(1)), (1, r(2))], Sense::Le, r(6)),
-                ],
-                lo: vec![Some(r(0)), Some(r(0))],
-                hi: vec![None, None],
-            },
-            ExactLp {
-                obj: vec![r(1), r(2), r(-1)],
-                rows: vec![
-                    (vec![(0, r(1)), (1, r(1)), (2, r(1))], Sense::Eq, r(10)),
-                    (vec![(0, r(1)), (1, r(-1))], Sense::Ge, r(2)),
-                    (vec![(2, r(1))], Sense::Le, r(7)),
-                ],
-                lo: vec![Some(r(0)), Some(r(0)), Some(r(0))],
-                hi: vec![None, None, None],
-            },
+        use crate::simplex::LpProblem;
+        const INF: f64 = f64::INFINITY;
+        let q = BigRat::from_ratio;
+        let opt = |x, objective| ExactOutcome::Optimal { x, objective };
+        let cases: Vec<(LpProblem, ExactOutcome)> = vec![
+            (
+                LpProblem {
+                    obj: vec![-5.0, -4.0],
+                    rows: vec![
+                        (vec![(0, 6.0), (1, 4.0)], Sense::Le, 24.0),
+                        (vec![(0, 1.0), (1, 2.0)], Sense::Le, 6.0),
+                    ],
+                    lo: vec![0.0, 0.0],
+                    hi: vec![INF, INF],
+                },
+                opt(vec![r(3), q(3, 2)], r(-21)),
+            ),
+            (
+                LpProblem {
+                    obj: vec![1.0, 2.0, -1.0],
+                    rows: vec![
+                        (vec![(0, 1.0), (1, 1.0), (2, 1.0)], Sense::Eq, 10.0),
+                        (vec![(0, 1.0), (1, -1.0)], Sense::Ge, 2.0),
+                        (vec![(2, 1.0)], Sense::Le, 7.0),
+                    ],
+                    lo: vec![0.0, 0.0, 0.0],
+                    hi: vec![INF, INF, INF],
+                },
+                opt(vec![r(3), r(0), r(7)], r(-4)),
+            ),
             // Free column, fixed column, finite upper bound.
-            ExactLp {
-                obj: vec![r(1), r(3), r(0)],
-                rows: vec![
-                    (vec![(0, r(1)), (1, r(1)), (2, r(2))], Sense::Ge, r(4)),
-                    (vec![(0, r(1)), (1, r(-2))], Sense::Le, r(3)),
-                ],
-                lo: vec![None, Some(r(0)), Some(r(5))],
-                hi: vec![None, Some(r(2)), Some(r(5))],
-            },
+            (
+                LpProblem {
+                    obj: vec![1.0, 3.0, 0.0],
+                    rows: vec![
+                        (vec![(0, 1.0), (1, 1.0), (2, 2.0)], Sense::Ge, 4.0),
+                        (vec![(0, 1.0), (1, -2.0)], Sense::Le, 3.0),
+                    ],
+                    lo: vec![-INF, 0.0, 5.0],
+                    hi: vec![INF, 2.0, 5.0],
+                },
+                opt(vec![r(-6), r(0), r(5)], r(-6)),
+            ),
             // Negative rhs flips row signs; duplicate column terms sum;
             // (0, 1) + (0, -1) cancels to a vacuous feasible row.
-            ExactLp {
-                obj: vec![r(2), r(1)],
-                rows: vec![
-                    (vec![(0, r(-1)), (1, r(-1))], Sense::Le, r(-3)),
-                    (vec![(0, r(1)), (0, r(1)), (1, r(1))], Sense::Le, r(10)),
-                    (vec![(0, r(1)), (0, r(-1))], Sense::Le, r(0)),
-                ],
-                lo: vec![Some(r(0)), Some(r(0))],
-                hi: vec![None, None],
-            },
+            (
+                LpProblem {
+                    obj: vec![2.0, 1.0],
+                    rows: vec![
+                        (vec![(0, -1.0), (1, -1.0)], Sense::Le, -3.0),
+                        (vec![(0, 1.0), (0, 1.0), (1, 1.0)], Sense::Le, 10.0),
+                        (vec![(0, 1.0), (0, -1.0)], Sense::Le, 0.0),
+                    ],
+                    lo: vec![0.0, 0.0],
+                    hi: vec![INF, INF],
+                },
+                opt(vec![r(0), r(3)], r(3)),
+            ),
             // Infeasible.
-            ExactLp {
-                obj: vec![r(0)],
-                rows: vec![
-                    (vec![(0, r(1))], Sense::Le, r(1)),
-                    (vec![(0, r(1))], Sense::Ge, r(2)),
-                ],
-                lo: vec![Some(r(0))],
-                hi: vec![None],
-            },
+            (
+                LpProblem {
+                    obj: vec![0.0],
+                    rows: vec![
+                        (vec![(0, 1.0)], Sense::Le, 1.0),
+                        (vec![(0, 1.0)], Sense::Ge, 2.0),
+                    ],
+                    lo: vec![0.0],
+                    hi: vec![INF],
+                },
+                ExactOutcome::Infeasible,
+            ),
             // Unbounded via a free column.
-            ExactLp {
-                obj: vec![r(1)],
-                rows: vec![],
-                lo: vec![None],
-                hi: vec![None],
-            },
+            (
+                LpProblem {
+                    obj: vec![1.0],
+                    rows: vec![],
+                    lo: vec![-INF],
+                    hi: vec![INF],
+                },
+                ExactOutcome::Unbounded,
+            ),
         ];
-        for p in &cases {
-            assert_same_outcome(p);
+        for (i, (p, want)) in cases.iter().enumerate() {
+            assert_reaches(p, want, i);
         }
     }
 
     #[test]
-    fn fractional_pivots_stay_in_the_small_path() {
-        // 1/3-style values come out of integer pivots; the sparse path
-        // must produce the identical exact optimum.
-        let p = ExactLp {
-            obj: vec![r(1), r(1)],
+    fn fractional_vertex_reaches_its_known_optimum() {
+        // Integer data, fractional vertex: 3x+y = 1, x+7y = 2 gives
+        // x = y = 1/4, so the pivots must carry exact quarters.
+        use crate::simplex::LpProblem;
+        let q = BigRat::from_ratio;
+        let p = LpProblem {
+            obj: vec![1.0, 1.0],
             rows: vec![
-                (vec![(0, r(3)), (1, r(1))], Sense::Ge, r(1)),
-                (vec![(0, r(1)), (1, r(7))], Sense::Ge, r(2)),
+                (vec![(0, 3.0), (1, 1.0)], Sense::Ge, 1.0),
+                (vec![(0, 1.0), (1, 7.0)], Sense::Ge, 2.0),
             ],
-            lo: vec![Some(r(0)), Some(r(0))],
-            hi: vec![None, None],
+            lo: vec![0.0, 0.0],
+            hi: vec![f64::INFINITY, f64::INFINITY],
         };
-        assert_same_outcome(&p);
+        let want = ExactOutcome::Optimal {
+            x: vec![q(1, 4), q(1, 4)],
+            objective: q(1, 2),
+        };
+        assert_reaches(&p, &want, 0);
     }
 }

@@ -11,9 +11,10 @@
 //! * [`branch`] — branch-and-bound for mixed-integer models with
 //!   most-fractional branching, depth-first search with best-bound
 //!   tie-breaking, an LP-rounding primal heuristic, and node/time limits.
-//! * [`exact`] — arbitrary-precision integers and rationals plus an exact
-//!   rational simplex, used in tests and audits to cross-check the `f64`
-//!   path on small instances.
+//! * [`exact`] — arbitrary-precision integers and rationals plus one
+//!   dense exact rational simplex (Bland's rule). No solve path calls
+//!   it: tests and audits use it to cross-check the `f64` path on small
+//!   instances.
 //!
 //! # Example
 //!

@@ -303,6 +303,35 @@ fn oversized_content_length_is_refused_before_allocation() {
     handle.shutdown();
 }
 
+#[test]
+fn oversized_unit_fields_are_refused_before_solving() {
+    let (handle, addr) = start(default_config());
+    let mut client = SwpdClient::new(addr.clone(), 7);
+    // Unbounded, these abort the process: a 2^31-unit IMS reservation
+    // table, and an 8 GiB allocation inside `T_res`.
+    for (i, unit) in [
+        "count=2147483648 latency=2 table[X..X]",
+        "count=1 latency=4000000000 nonpipelined",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let case = format!(
+            "machine m {{\n    unit C0 {unit}\n}}\nddg {{\n    node n0 class=0 latency=2\n}}\n"
+        );
+        let reply = client
+            .solve(&SolveRequest::new(format!("huge-{i}"), case))
+            .expect("typed reply");
+        assert_eq!(reply.status, ReplyStatus::BadRequest, "reply: {reply:?}");
+        assert!(
+            reply.error.as_deref().unwrap_or("").contains("exceeds"),
+            "error should name the cap: {reply:?}"
+        );
+    }
+    assert_eq!(assert_healthy_and_balanced(&addr).bad_requests, 2);
+    handle.shutdown();
+}
+
 /// Sends `prefix` followed by 2 MiB with no newline from a helper
 /// thread, and returns everything the daemon answers before it closes
 /// the connection (within the client read timeout).
